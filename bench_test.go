@@ -682,15 +682,15 @@ func BenchmarkParallelExec(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSteal measures the work-stealing pool on a *skewed*
-// loop: the inner range grows with the outer position, so chunks late in
-// the binding stream carry far more work than early ones. A static
-// partition would finish its light chunks and idle behind the heavy tail;
-// stealing re-balances at chunk granularity, so the speedup over p=1 is
+// BenchmarkParallelSteal measures the ordered pool on a *skewed* loop: the
+// inner range grows with the outer position, so chunks late in the binding
+// stream carry far more work than early ones. A static partition would
+// finish its light chunks and idle behind the heavy tail; the pool's shared
+// queue hands every idle worker the next chunk, so the speedup over p=1 is
 // the scheduler's, not the partitioner's.
 func BenchmarkParallelSteal(b *testing.B) {
 	if runtime.NumCPU() == 1 {
-		b.Skip("work stealing measures nothing on a single-core runner")
+		b.Skip("parallel scheduling measures nothing on a single-core runner")
 	}
 	data := dataFor(b, 0.05)
 	if err := data.eng.LoadXML("plain.xml", mustSerialize(b, data.plain)); err != nil {

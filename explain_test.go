@@ -69,7 +69,7 @@ plan:
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto}
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
 	if got := prep.Explain().String(); got != wantBefore {
@@ -120,7 +120,7 @@ plan:
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=3 ctx=1 out=3 basic=4 ll=36} (in=1 out=1 cand=3 joins=basic:1 stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
 	if got := pe.String(); got != want {
@@ -244,7 +244,7 @@ func TestExplainGoldenNestedStream(t *testing.T) {
 	}
 	got := prep.Explain().String()
 	wantStream := `stream:
-  flwor [pipelined] for $m tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $m tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible
     path [pipelined] final step descendant::music streams per context node when context subtrees are disjoint
     flwor-nested [pipelined] inner for $i binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own
       range [pipelined] integers generated on demand
@@ -308,7 +308,7 @@ plan:
         step self::shot
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible
     path [pipelined] final step self::shot streams per context node when context subtrees are disjoint
 `
 	if got := prep.Explain().String(); got != want {

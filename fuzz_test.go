@@ -107,13 +107,16 @@ func fuzzConfigs() []Config {
 	return []Config{
 		{Mode: ModeBasic},
 		{Mode: ModeLoopLifted},
+		// The definitional nested-loop join, bulk and chunked.
+		{Mode: ModeUDF},
+		{Mode: ModeUDF, StreamChunk: 3},
 		{NoPushdown: true},
 		{StreamChunk: 1},
 		{StreamChunk: 3},
 		{StreamChunk: 16},
 		{StreamChunk: 3, Parallelism: 2},
-		// Oversubscribed work stealing: more workers than chunks in flight,
-		// so thieves drain each other's deques and the seq-heap re-orders.
+		// Oversubscribed pool: more workers than chunks in flight, so most
+		// workers idle on the shared queue while results merge in order.
 		{StreamChunk: 2, Parallelism: 8},
 		// Forced modes through the chunked stream: adaptive chunk sizing and
 		// per-chunk joins under a pinned algorithm.
@@ -174,9 +177,8 @@ func runFuzzCase(t *testing.T, seed uint64) {
 		if refErr != nil {
 			continue
 		}
-		// Feed the feedback loop and re-run: an analyzed execution may
-		// invalidate strategy memos (observed-selectivity drift) and feed
-		// the engine-wide calibration, but results must never move.
+		// Analyze and re-run: an analyzed execution collects per-operator
+		// counters on the shared plan's run, but results must never move.
 		if res, _, err := prep.Analyze(Config{}); err != nil {
 			t.Fatalf("seed %d query %q: analyze errored: %v", seed, q, err)
 		} else if got := res.String(); got != want {

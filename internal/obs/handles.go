@@ -16,9 +16,7 @@ type ExecMetrics struct {
 	JoinLoopLifted *Counter
 	JoinNaive      *Counter
 
-	// Work-stealing pool: tasks taken from a sibling's deque, and producer
-	// stalls on the in-flight token budget.
-	WorkSteals    *Counter
+	// Producer stalls on the ordered worker pool's in-flight budget.
 	InflightWaits *Counter
 
 	// Chunk-size adaptation events of the streamed StandOff merge.
@@ -26,14 +24,7 @@ type ExecMetrics struct {
 	ChunkShrink *Counter
 }
 
-// Steal records one stolen chunk task.
-func (m *ExecMetrics) Steal() {
-	if m != nil {
-		m.WorkSteals.Inc()
-	}
-}
-
-// InflightWait records one producer stall on the in-flight token budget.
+// InflightWait records one producer stall on the pool's in-flight budget.
 func (m *ExecMetrics) InflightWait() {
 	if m != nil {
 		m.InflightWaits.Inc()

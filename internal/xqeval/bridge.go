@@ -226,12 +226,13 @@ func ErrRangeTooLarge(lo, hi int64) error {
 	return errf(codeType, "range %d to %d is too large", lo, hi)
 }
 
-// StandOffStream is the chunked execution handle of a pipelined StandOff
-// step: the per-document residue — region index, candidate sequence,
-// pushdown post-filter, join strategy — resolved once. For the two select
-// operators the executor runs one loop-lifted join per chunk of context
-// nodes (JoinChunkPres) and gates emission on the candidate-interval
-// watermark. For the two reject operators — anti-joins over the whole
+// StandOffStream is the per-document execution handle of a StandOff step:
+// the per-document residue — region index, candidate sequence, pushdown
+// post-filter, join strategy — resolved once. The bulk steps (standOffStep,
+// standOffRejectStep) join each document's whole context through it in one
+// call. For the two select operators the executor runs one loop-lifted join
+// per chunk of context nodes (JoinChunkPres) and gates emission on the
+// candidate-interval watermark. For the two reject operators — anti-joins over the whole
 // context, where a union of per-chunk complements would be wrong — each
 // chunk's select-side join marks matched candidates in a bitset (MarkChunk)
 // and the executor complements once at the end, emitting the unmatched
@@ -257,10 +258,9 @@ type StandOffStream struct {
 // from pres against it).
 func (s *StandOffStream) Doc() *tree.Doc { return s.d }
 
-// NewStandOffStream resolves one StandOff select step against a single
-// document for chunked execution. ctxRows is the step's full context
-// cardinality — the cost model prices the whole loop, so chunking must not
-// change the Basic/Loop-Lifted decision. A nil stream with a nil error means
+// NewStandOffStream resolves one StandOff step against a single document.
+// ctxRows is the step's full context cardinality — the cost model prices the
+// whole loop, so chunking must not change the Basic/Loop-Lifted decision. A nil stream with a nil error means
 // the step is statically or dynamically empty for this document (the node
 // test can never match an area-annotation).
 func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, ctxRows int) (*StandOffStream, error) {
@@ -286,20 +286,10 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, ctxRows
 	return s, nil
 }
 
-// CtxStart returns the document-position start of a context node's area (the
-// minimum region start — RegionsOf is start-ordered). ok=false means the
-// node is not an area-annotation of this stream's document and can never
-// produce a match.
-func (s *StandOffStream) CtxStart(it Item) (int64, bool) {
-	if it.Kind != KNode || it.D != s.d {
-		return 0, false
-	}
-	return s.CtxStartPre(it.Pre)
-}
-
-// CtxStartPre is CtxStart for a bare pre rank of the stream's document — the
-// composed-cursor path, where upstream stages hand pres across without ever
-// materialising items.
+// CtxStartPre returns the document-position start of a context node's area
+// (the minimum region start — RegionsOf is start-ordered), for a bare pre
+// rank of the stream's document. ok=false means the node is not an
+// area-annotation and can never produce a match.
 func (s *StandOffStream) CtxStartPre(pre int32) (int64, bool) {
 	regs := s.ix.RegionsOf(pre)
 	if len(regs) == 0 {
@@ -314,17 +304,7 @@ func (s *StandOffStream) CtxStartPre(pre int32) (int64, bool) {
 // until the next JoinChunkPres call. One ANALYZE join invocation is recorded
 // per chunk — the chunked run truly executes that many merges.
 func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
-	if cap(s.ctxBuf) < len(chunk) {
-		s.ctxBuf = make([]core.CtxNode, len(chunk))
-	}
-	ctx := s.ctxBuf[:len(chunk)]
-	for i, pre := range chunk {
-		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
-	}
-	t0 := statsNow(s.ev.Stats)
-	pairs := core.Join(s.ix, s.sp.SO.Op, s.strat, ctx, 1, s.cand, s.ev.JoinCfg)
-	s.ev.countJoin(s.strat)
-	s.ev.Stats.RecordJoin(s.sp, int64(s.cand.Len()), s.strat, int64(len(chunk)), statsSince(s.ev.Stats, t0))
+	pairs := s.join(s.sp.SO.Op, nil, chunk, 1, len(chunk))
 	out := s.outPres[:0]
 	if cap(out) < len(pairs) {
 		out = make([]int32, 0, len(pairs))
@@ -357,22 +337,34 @@ func (s *StandOffStream) Keep(pre int32) bool {
 // after the last chunk the unmarked candidates are exactly the bulk
 // anti-join's complement. One ANALYZE join invocation is recorded per chunk.
 func (s *StandOffStream) MarkChunk(chunk []int32, bits *core.MatchBits) int {
-	if cap(s.ctxBuf) < len(chunk) {
-		s.ctxBuf = make([]core.CtxNode, len(chunk))
-	}
-	ctx := s.ctxBuf[:len(chunk)]
-	for i, pre := range chunk {
-		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
-	}
 	op := core.SelectNarrow
 	if s.wide {
 		op = core.SelectWide
 	}
+	return core.MarkMatched(bits, s.cand.AreaPres(), s.join(op, nil, chunk, 1, len(chunk)))
+}
+
+// join is the one place a StandOff step calls core.Join: it builds the
+// context rows — context node pres[i] in iteration iters[i], or iteration 0
+// for every row when iters is nil (a chunk of the root iteration) — joins
+// them against the stream's candidates with the resolved strategy, counts
+// the join and records it for ANALYZE with ctxRows context rows.
+func (s *StandOffStream) join(op core.Op, iters, pres []int32, nIters, ctxRows int) []core.Pair {
+	if cap(s.ctxBuf) < len(pres) {
+		s.ctxBuf = make([]core.CtxNode, len(pres))
+	}
+	ctx := s.ctxBuf[:len(pres)]
+	for i, pre := range pres {
+		ctx[i] = core.CtxNode{Pre: pre}
+		if iters != nil {
+			ctx[i].Iter = iters[i]
+		}
+	}
 	t0 := statsNow(s.ev.Stats)
-	pairs := core.Join(s.ix, op, s.strat, ctx, 1, s.cand, s.ev.JoinCfg)
+	pairs := core.Join(s.ix, op, s.strat, ctx, int32(nIters), s.cand, s.ev.JoinCfg)
 	s.ev.countJoin(s.strat)
-	s.ev.Stats.RecordJoin(s.sp, int64(s.cand.Len()), s.strat, int64(len(chunk)), statsSince(s.ev.Stats, t0))
-	return core.MarkMatched(bits, s.cand.AreaPres(), pairs)
+	s.ev.Stats.RecordJoin(s.sp, int64(s.cand.Len()), s.strat, int64(ctxRows), statsSince(s.ev.Stats, t0))
+	return pairs
 }
 
 // MatchBits borrows a zeroed candidate bitmap from the evaluator's join

@@ -47,12 +47,8 @@ type Evaluator struct {
 	// algorithm run, FLWOR tuples). Nil disables collection; every record
 	// call is nil-safe, so the hot paths pay one pointer check.
 	Stats *xqplan.ExecStats
-	// Cal is the engine-wide setup-cost calibration the strategy choices
-	// price with; nil prices with the static default. Analyzed executions
-	// feed it through Stats (ExecStats.Cal is the same pointer).
-	Cal *xqplan.Calibration
 	// Met is the engine-wide set of always-on metric counters (joins per
-	// algorithm, work-steals, chunk adaptations). Unlike Stats it is live
+	// algorithm, pool stalls, chunk adaptations). Unlike Stats it is live
 	// on every execution, so recording must stay one nil check plus one
 	// atomic add; nil disables it. Fork carries it over — worker forks feed
 	// the same counters.

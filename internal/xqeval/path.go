@@ -212,7 +212,7 @@ func (ev *Evaluator) strategyFor(sp *xqplan.StepPlan, ix *core.RegionIndex, ctxR
 	if ev.Strategy != core.StrategyAuto {
 		return ev.Strategy
 	}
-	return sp.StrategyFor(ix, ev.Pushdown, ctxRows, ev.Cal)
+	return sp.StrategyFor(ix, ev.Pushdown, ctxRows)
 }
 
 // statsNow and statsSince time a join only when an ANALYZE collector is
@@ -334,56 +334,32 @@ func attrSourceStep(sp *xqplan.StepPlan, it Item) ([]Item, error) {
 	}
 }
 
-// standOffStep evaluates one of the four StandOff axes: partition the
-// context per document fragment (section 4.4), run the step's join strategy
-// against each document's region index, and map the (iter, pre) pairs back
-// to items.
+// standOffStep evaluates a StandOff select axis: partition the context per
+// document fragment (section 4.4), run the step's join strategy against each
+// document's region index, and map the (iter, pre) pairs back to items.
 func (ev *Evaluator) standOffStep(sp *xqplan.StepPlan, rows []stepRow) ([][]Item, error) {
-	if ev.IndexFor == nil {
-		return nil, errf(codeStandOffIndex, "no region index provider configured")
-	}
-	op := sp.SO.Op
 	results := make([][]Item, len(rows))
-
-	// Partition context rows by document.
-	byDoc := map[*tree.Doc][]core.CtxNode{}
-	var docs []*tree.Doc
-	for r, row := range rows {
-		it := row.item
-		if it.Kind != KNode { // attributes are never area-annotations
-			continue
+	docs, byDoc := partitionByDoc(func(add func(iter int32, it Item)) {
+		for r, row := range rows {
+			add(int32(r), row.item)
 		}
-		if _, seen := byDoc[it.D]; !seen {
-			docs = append(docs, it.D)
-		}
-		byDoc[it.D] = append(byDoc[it.D], core.CtxNode{Iter: int32(r), Pre: it.Pre})
-	}
+	})
 	for _, d := range docs {
-		ix, err := ev.IndexFor(d)
-		if err != nil {
-			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
-		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
-		if cand == nil {
-			continue // the test can never match an area-annotation
-		}
 		// ctxRows for the cost model is the iteration count the join runs
 		// over — the Basic variant re-scans the candidate sequence once per
 		// iteration, empty iterations included.
-		strat := ev.strategyFor(sp, ix, len(rows))
-		t0 := statsNow(ev.Stats)
-		pairs := core.Join(ix, op, strat, byDoc[d], int32(len(rows)), cand, ev.JoinCfg)
-		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(len(rows)), statsSince(ev.Stats, t0))
-		var test xpath.Compiled
-		if postFilter {
-			test = sp.CompiledTest(d)
+		so, err := ev.NewStandOffStream(sp, d, len(rows))
+		if err != nil {
+			return nil, err
 		}
-		for _, pr := range pairs {
-			if postFilter && !test.Matches(d, pr.Pre) {
-				continue
+		if so == nil {
+			continue // the test can never match an area-annotation
+		}
+		part := byDoc[d]
+		for _, pr := range so.join(sp.SO.Op, part.iters, part.pres, len(rows), len(rows)) {
+			if so.Keep(pr.Pre) {
+				results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
 			}
-			results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
 		}
 	}
 	return results, nil
@@ -391,64 +367,73 @@ func (ev *Evaluator) standOffStep(sp *xqplan.StepPlan, rows []stepRow) ([][]Item
 
 // standOffRejectStep evaluates reject-narrow/reject-wide at iteration
 // granularity: one anti-join per iteration over all its context nodes.
+//
+// The anti-join runs per document fragment against that document's
+// candidates (section 4.4). An iteration with no context node in some
+// document still rejects "all candidates" of documents it touches;
+// candidates of untouched documents are out of scope, mirroring that XPath
+// steps only return nodes from the documents of their context nodes.
 func (ev *Evaluator) standOffRejectStep(sp *xqplan.StepPlan, ctx LLSeq) ([][]Item, error) {
-	if ev.IndexFor == nil {
-		return nil, errf(codeStandOffIndex, "no region index provider configured")
-	}
-	op := sp.SO.Op
-	results := make([][]Item, ctx.N())
-
-	// Partition context nodes by document; the anti-join runs per document
-	// fragment against that document's candidates (section 4.4). An
-	// iteration with no context node in some document still rejects "all
-	// candidates" of documents it touches; candidates of untouched
-	// documents are out of scope, mirroring that XPath steps only return
-	// nodes from the documents of their context nodes.
-	byDoc := map[*tree.Doc][]core.CtxNode{}
-	iterTouches := map[*tree.Doc][]bool{}
-	var docs []*tree.Doc
-	for i := 0; i < ctx.N(); i++ {
-		for _, it := range ctx.Group(i) {
-			if it.Kind != KNode {
-				continue
+	n := ctx.N()
+	results := make([][]Item, n)
+	docs, byDoc := partitionByDoc(func(add func(iter int32, it Item)) {
+		for i := 0; i < n; i++ {
+			for _, it := range ctx.Group(i) {
+				add(int32(i), it)
 			}
-			if _, seen := byDoc[it.D]; !seen {
-				docs = append(docs, it.D)
-				iterTouches[it.D] = make([]bool, ctx.N())
-			}
-			byDoc[it.D] = append(byDoc[it.D], core.CtxNode{Iter: int32(i), Pre: it.Pre})
-			iterTouches[it.D][i] = true
 		}
-	}
+	})
 	for _, d := range docs {
-		ix, err := ev.IndexFor(d)
+		so, err := ev.NewStandOffStream(sp, d, n)
 		if err != nil {
-			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
+			return nil, err
 		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
-		if cand == nil {
+		if so == nil {
 			continue
 		}
-		strat := ev.strategyFor(sp, ix, ctx.N())
-		t0 := statsNow(ev.Stats)
-		pairs := core.Join(ix, op, strat, byDoc[d], int32(ctx.N()), cand, ev.JoinCfg)
-		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(ctx.N()), statsSince(ev.Stats, t0))
-		var test xpath.Compiled
-		if postFilter {
-			test = sp.CompiledTest(d)
+		part := byDoc[d]
+		touched := make([]bool, n)
+		for _, i := range part.iters {
+			touched[i] = true
 		}
-		for _, pr := range pairs {
-			if !iterTouches[d][pr.Iter] {
+		for _, pr := range so.join(sp.SO.Op, part.iters, part.pres, n, n) {
+			if !touched[pr.Iter] {
 				continue // iteration has no context node in this document
 			}
-			if postFilter && !test.Matches(d, pr.Pre) {
-				continue
+			if so.Keep(pr.Pre) {
+				results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
 			}
-			results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
 		}
 	}
 	return results, nil
+}
+
+// docPart is one document's share of a bulk StandOff step's context: the
+// context node pres with their iterations.
+type docPart struct {
+	iters, pres []int32
+}
+
+// partitionByDoc splits a step context, which each feeds to add one
+// (iteration, item) pair at a time, into per-document parts, documents in
+// first-seen order. Attributes are never area-annotations and are skipped.
+func partitionByDoc(each func(add func(iter int32, it Item))) ([]*tree.Doc, map[*tree.Doc]*docPart) {
+	var docs []*tree.Doc
+	byDoc := map[*tree.Doc]*docPart{}
+	each(func(iter int32, it Item) {
+		if it.Kind != KNode {
+			return
+		}
+		part := byDoc[it.D]
+		if part == nil {
+			part = &docPart{}
+			byDoc[it.D] = part
+			docs = append(docs, it.D)
+		}
+		part.iters = append(part.iters, iter)
+		part.pres = append(part.pres, it.Pre)
+	})
+	return docs, byDoc
 }
 
 // candidatesFor materialises the candidate sequence for a StandOff step

@@ -1,9 +1,6 @@
 package xqexec
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"soxq/internal/obs"
 	"soxq/internal/xqeval"
 )
@@ -13,11 +10,10 @@ import (
 // stream in shard order — the corpus's document order. Shards are
 // independent by construction (each pipeline runs over its own evaluator and
 // its own document snapshot), so the parallel form needs no cross-shard
-// coordination beyond the order-preserving merge; what it borrows from the
-// FLWOR work-stealing pool is the bounding discipline — an in-flight token
-// budget that keeps claimed-but-unconsumed shards, and therefore buffered
-// results, proportional to the worker count rather than the corpus size —
-// and the pool's InflightWaits saturation counter.
+// coordination beyond the order-preserving merge: each shard is one task of
+// the orderedPool the parallel FLWOR loops run on, whose in-flight budget
+// keeps started-but-unconsumed shards, and therefore buffered results,
+// proportional to the worker count rather than the corpus size.
 
 // ShardSource lazily constructs one shard's cursor. Sources are invoked at
 // most once each, on the goroutine that will drain the cursor, so pipeline
@@ -44,7 +40,15 @@ func MergeShards(sources []ShardSource, workers, chunk int, met *obs.ExecMetrics
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	return newShardPar(sources, workers, chunk, met)
+	return startOrderedPool(workers, nil, met, func(submit func(taskFunc) bool) {
+		for _, src := range sources {
+			if !submit(func(_ *xqeval.Evaluator, emit func([]xqeval.Item) bool) error {
+				return drainShard(src, chunk, emit)
+			}) {
+				return
+			}
+		}
+	})
 }
 
 // shardSeq drains shards one at a time, building each source only when the
@@ -90,180 +94,27 @@ func (c *shardSeq) Close() {
 	c.i = len(c.sources)
 }
 
-// shardChunk is one slice of a shard's output (or its terminal error) on the
-// way to the merge.
-type shardChunk struct {
-	items []xqeval.Item
-	err   error
-}
-
-// shardPar drains shards on a bounded worker pool. Workers claim shard
-// indexes in order off a shared counter and stream each claimed shard's
-// output as bounded chunks into that shard's channel; the consumer reads the
-// channels strictly in shard order, so the merged stream is deterministic
-// regardless of which worker ran what. The token budget (2x workers) caps
-// how many shards may be claimed ahead of the consumer: without it, a corpus
-// of many small shards would buffer every completed shard at once.
-type shardPar struct {
-	chans  []chan shardChunk
-	tokens chan struct{} // acquired per shard claim, released per shard consumed
-	donech chan struct{}
-	wg     sync.WaitGroup
-	claim  atomic.Int64
-	met    *obs.ExecMetrics
-
-	// Consumer state (single goroutine, never shared).
-	si     int
-	out    []xqeval.Item
-	oi     int
-	item   xqeval.Item
-	err    error
-	done   bool
-	closed bool
-}
-
-func newShardPar(sources []ShardSource, workers, chunk int, met *obs.ExecMetrics) *shardPar {
-	p := &shardPar{
-		chans:  make([]chan shardChunk, len(sources)),
-		tokens: make(chan struct{}, 2*workers),
-		donech: make(chan struct{}),
-		met:    met,
-	}
-	for i := range p.chans {
-		// Capacity 1 lets a shard's worker run one chunk ahead of the merge;
-		// the token budget bounds the shard count, so peak buffered memory is
-		// O(workers x chunk), independent of corpus size.
-		p.chans[i] = make(chan shardChunk, 1)
-	}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.worker(sources, chunk)
-	}
-	return p
-}
-
-func (p *shardPar) worker(sources []ShardSource, chunk int) {
-	defer p.wg.Done()
-	for {
-		if !p.acquireToken() {
-			return
-		}
-		i := int(p.claim.Add(1)) - 1
-		if i >= len(sources) {
-			// Nothing left to claim; the held token dies with the pool.
-			return
-		}
-		if !p.runShard(i, sources[i], chunk) {
-			return
-		}
-	}
-}
-
-// acquireToken takes one in-flight shard token, counting a stall when the
-// worker genuinely has to wait for the consumer to retire a shard (the
-// pool's saturation signal, same meaning as the FLWOR pool's). Returns false
-// when the pool shut down instead.
-func (p *shardPar) acquireToken() bool {
-	select {
-	case p.tokens <- struct{}{}:
-		return true
-	default:
-	}
-	p.met.InflightWait()
-	select {
-	case p.tokens <- struct{}{}:
-		return true
-	case <-p.donech:
-		return false
-	}
-}
-
-// runShard builds shard i's cursor, streams its output in chunks, and closes
-// the shard channel so the consumer sees end-of-shard. Returns false when
-// the pool shut down mid-shard.
-func (p *shardPar) runShard(i int, src ShardSource, chunk int) bool {
-	defer close(p.chans[i])
+// drainShard is one shard's pool task: it builds the shard's cursor on the
+// worker's goroutine and emits its output in slices of chunk items. The
+// cursor is closed on every path, including a pool shutdown mid-shard.
+func drainShard(src ShardSource, chunk int, emit func([]xqeval.Item) bool) error {
 	cur, err := src()
 	if err != nil {
-		return p.send(i, shardChunk{err: err})
+		return err
 	}
 	defer cur.Close()
 	buf := make([]xqeval.Item, 0, min(chunk, 64))
 	for cur.Next() {
 		buf = append(buf, cur.Item())
 		if len(buf) >= chunk {
-			if !p.send(i, shardChunk{items: buf}) {
-				return false
+			if !emit(buf) {
+				return nil
 			}
 			buf = make([]xqeval.Item, 0, chunk)
 		}
 	}
-	if len(buf) > 0 {
-		if !p.send(i, shardChunk{items: buf}) {
-			return false
-		}
+	if len(buf) > 0 && !emit(buf) {
+		return nil
 	}
-	if err := cur.Err(); err != nil {
-		return p.send(i, shardChunk{err: err})
-	}
-	return true
-}
-
-func (p *shardPar) send(i int, c shardChunk) bool {
-	select {
-	case p.chans[i] <- c:
-		return true
-	case <-p.donech:
-		return false
-	}
-}
-
-func (p *shardPar) Next() bool {
-	if p.err != nil || p.done {
-		return false
-	}
-	for {
-		if p.oi < len(p.out) {
-			p.item = p.out[p.oi]
-			p.oi++
-			return true
-		}
-		if p.si >= len(p.chans) {
-			p.done = true
-			return false
-		}
-		c, ok := <-p.chans[p.si]
-		if !ok {
-			// Shard retired: release its token so a worker may claim the
-			// next shard beyond the look-ahead window. The claiming worker
-			// acquired before closing, so the token is always present.
-			p.si++
-			<-p.tokens
-			continue
-		}
-		if c.err != nil {
-			p.err = c.err
-			return false
-		}
-		p.out, p.oi = c.items, 0
-	}
-}
-
-func (p *shardPar) Item() xqeval.Item { return p.item }
-func (p *shardPar) Err() error        { return p.err }
-
-// Close shuts the pool down: workers blocked on a send or a token acquire
-// exit via donech, a worker mid-chunk finishes that chunk and exits on its
-// next send, and every open shard cursor is closed by its worker's deferred
-// Close. Close returns only after every worker has exited, so no pool
-// goroutine outlives the cursor.
-func (p *shardPar) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	p.done = true
-	close(p.donech)
-	p.wg.Wait()
-	p.out, p.oi = nil, 0
+	return cur.Err()
 }

@@ -78,7 +78,7 @@ const DefaultChunkSize = 1024
 func Build(ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
 	// The pipeline owns a pooled join arena for its whole run (globals,
 	// every chunk join); the wrapping cursor hands it back on Close.
-	// Forked parallel workers attach their own — see parallelFLWOR.
+	// Forked pool workers attach their own — see orderedPool.
 	ev.AttachArena()
 	// The seq arena recycles frames, bindings, and sequence buffers across
 	// the pipeline's chunk scopes; workers fork without one and allocate

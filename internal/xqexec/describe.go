@@ -53,7 +53,7 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 		op := &OpExplain{
 			Kind:      "flwor",
 			Pipelined: true,
-			Detail: fmt.Sprintf("for $%s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible",
+			Detail: fmt.Sprintf("for $%s tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible",
 				first.Var),
 			Children: []*OpExplain{describeExpr(plan, first.Seq)},
 		}

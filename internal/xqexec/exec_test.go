@@ -290,8 +290,7 @@ func TestParallelGateEngages(t *testing.T) {
 }
 
 // waitGoroutines polls until the goroutine count drops back to the baseline
-// (worker teardown after Close is asynchronous: the producer and workers
-// exit when they observe donech, not inside Close itself).
+// (an exited goroutine may take a moment to leave the runtime's count).
 func waitGoroutines(t *testing.T, baseline int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -406,60 +405,10 @@ func TestGatePathRespectsChunkSize(t *testing.T) {
 	fl.Close()
 }
 
-// TestWorkDeque pins the deque discipline the stealing pool relies on: the
-// owner pops newest-first, thieves steal oldest-first, and the two ends
-// interleave without losing or duplicating tasks.
-func TestWorkDeque(t *testing.T) {
-	var d workDeque
-	for i := 0; i < 6; i++ {
-		d.push(chunkTask{seq: int64(i)})
-	}
-	if tk, ok := d.steal(); !ok || tk.seq != 0 {
-		t.Fatalf("steal = (%d,%v), want oldest task 0", tk.seq, ok)
-	}
-	if tk, ok := d.pop(); !ok || tk.seq != 5 {
-		t.Fatalf("pop = (%d,%v), want newest task 5", tk.seq, ok)
-	}
-	for _, w := range []int64{1, 2} {
-		if tk, ok := d.steal(); !ok || tk.seq != w {
-			t.Fatalf("steal = (%d,%v), want %d", tk.seq, ok, w)
-		}
-	}
-	d.push(chunkTask{seq: 6})
-	for _, w := range []int64{6, 4, 3} {
-		if tk, ok := d.pop(); !ok || tk.seq != w {
-			t.Fatalf("pop = (%d,%v), want %d", tk.seq, ok, w)
-		}
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on an empty deque succeeded")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on an empty deque succeeded")
-	}
-}
-
-// TestResultHeapOrders: results pushed in completion order pop in producer
-// sequence order — the property the order-preserving merge rests on.
-func TestResultHeapOrders(t *testing.T) {
-	var h resultHeap
-	for _, s := range []int64{5, 1, 4, 0, 3, 2} {
-		h.push(chunkResult{seq: s})
-	}
-	for want := int64(0); want < 6; want++ {
-		if got := h.pop().seq; got != want {
-			t.Fatalf("pop sequence: got %d, want %d", got, want)
-		}
-	}
-	if h.len() != 0 {
-		t.Fatalf("heap not empty after draining: %d", h.len())
-	}
-}
-
 // TestParallelStealOversubscribed drives the pool with far more workers than
-// the loop has chunks, so most deques start empty and those workers must
-// steal or sleep on the pool condition — the waking and stealing edge cases
-// — while the merged stream stays item-for-item the sequential one.
+// the loop has chunks, so most workers never get a task and wait on the
+// shared queue until the producer closes it, while the merged stream stays
+// item-for-item the sequential one.
 func TestParallelStealOversubscribed(t *testing.T) {
 	env := newTestEnv(t)
 	q := fmt.Sprintf(`for $i in 1 to %d return $i mod 31`, 2*parallelMinTuples+70)
@@ -483,12 +432,12 @@ func TestParallelStealOversubscribed(t *testing.T) {
 	waitGoroutines(t, baseline, "oversubscribed pool")
 }
 
-// TestParallelGateInlineTail: a loop whose trailing partial chunk falls
-// below the per-chunk dispatch gate takes the inline merge path — the tail
-// is evaluated by the consumer, not a worker — without changing the stream.
+// TestParallelGateInlineTail: a loop whose trailing chunk is only a few
+// tuples long runs that short tail as a pool task like any other chunk,
+// without changing the stream.
 func TestParallelGateInlineTail(t *testing.T) {
 	env := newTestEnv(t)
-	// 4 full 128-tuple chunks plus a 5-tuple tail, well under the gate.
+	// Full 128-tuple chunks plus a 5-tuple tail.
 	q := fmt.Sprintf(`for $i in 1 to %d return $i mod 13`, 4*parallelMinTuples+5)
 	want := render(env.evaluator(t, q).Run())
 	baseline := runtime.NumGoroutine()
@@ -510,10 +459,10 @@ func TestParallelGateInlineTail(t *testing.T) {
 	waitGoroutines(t, baseline, "inline tail")
 }
 
-// TestEarlyCloseStealingPool abandons an oversubscribed stealing pool at
-// several drain depths — before the first chunk boundary, mid-chunk, and
-// deep enough that the re-order heap and token budget are in steady state —
-// and verifies the producer, every worker, and the closer all exit.
+// TestEarlyCloseStealingPool abandons an oversubscribed pool at several
+// drain depths — before the first chunk boundary, mid-chunk, and deep
+// enough that the in-flight budget is in steady state — and verifies the
+// producer and every worker exit.
 func TestEarlyCloseStealingPool(t *testing.T) {
 	env := newTestEnv(t)
 	q := fmt.Sprintf(`for $i in 1 to %d return $i`, 32*parallelMinTuples)
@@ -531,6 +480,45 @@ func TestEarlyCloseStealingPool(t *testing.T) {
 		cur.Close()
 		waitGoroutines(t, baseline, fmt.Sprintf("stealing pool, drain %d", drain))
 	}
+}
+
+// TestParallelErrorMidStream: a loop body that fails part-way through a
+// pooled loop yields exactly the sequential stream's items up to the failing
+// chunk, then the sequential error, and the pool unwinds completely.
+func TestParallelErrorMidStream(t *testing.T) {
+	env := newTestEnv(t)
+	q := fmt.Sprintf(`for $i in 1 to %d return if ($i = %d) then error("boom") else $i`,
+		4*parallelMinTuples, 3*parallelChunkSize+50)
+	drain := func(cfg Config) ([]string, error) {
+		cur, err := Build(env.evaluator(t, q), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		fl := unwrapRoot(cur).(*flworCursor)
+		var items []string
+		for fl.Next() {
+			items = append(items, fl.Item().String())
+		}
+		if cfg.Parallelism > 1 && fl.par == nil {
+			t.Fatal("parallel pool did not engage")
+		}
+		return items, fl.Err()
+	}
+	want, wantErr := drain(Config{ChunkSize: parallelChunkSize})
+	if wantErr == nil || len(want) != 3*parallelChunkSize {
+		t.Fatalf("sequential run: %d items, err %v; want %d items then an error",
+			len(want), wantErr, 3*parallelChunkSize)
+	}
+	baseline := runtime.NumGoroutine()
+	got, err := drain(Config{ChunkSize: parallelChunkSize, Parallelism: 4})
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("parallel error = %v, want %v", err, wantErr)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("parallel prefix has %d items, sequential %d", len(got), len(want))
+	}
+	waitGoroutines(t, baseline, "failed pool")
 }
 
 // TestPathStreamingModes pins which final steps stream: a disjoint-context

@@ -1,9 +1,6 @@
 package xqexec
 
 import (
-	"sync"
-
-	"soxq/internal/obs"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
@@ -93,7 +90,7 @@ type flworCursor struct {
 	scope      *xqeval.SeqScope
 	childScope *xqeval.SeqScope
 
-	par *parallelFLWOR // non-nil once the worker pool engages
+	par *orderedPool // non-nil once the worker pool engages
 
 	started bool
 	done    bool
@@ -362,7 +359,12 @@ func (c *flworCursor) Next() bool {
 		c.init()
 	}
 	if c.par != nil {
-		return c.par.next(c)
+		if c.par.Next() {
+			c.cur = c.par.Item()
+			return true
+		}
+		c.err = c.par.Err()
+		return false
 	}
 	for c.err == nil {
 		if c.child != nil {
@@ -421,7 +423,7 @@ func (c *flworCursor) Close() {
 	c.bindFree = nil // already closed when parked by shelve
 	if c.par != nil {
 		// The producer goroutine owns (and closes) the binding cursor.
-		c.par.close()
+		c.par.Close()
 		c.par = nil
 		c.bind = nil
 		return
@@ -432,170 +434,15 @@ func (c *flworCursor) Close() {
 	}
 }
 
-// parallelFLWOR distributes the binding stream across a work-stealing worker
-// pool with an order-preserving merge. The producer deals sequence-numbered
-// chunk tasks round-robin into one deque per worker; each worker drains its
-// own deque and steals from its siblings when that runs dry, so a skewed
-// chunk (one tuple whose loop body dominates) never idles the other workers
-// the way a static partition would. Workers evaluate the FLWOR tail per
-// chunk over forked evaluators (the plan is immutable and race-safe to
-// share) and send results to a shared channel; the consumer re-orders them
-// through a sequence-keyed min-heap (the same hand-rolled heap as the
-// StandOff merge's preHeap), so the parallel stream is item-for-item the
-// sequential one.
-//
-// The deques are bounded globally rather than per-queue: the producer
-// acquires an in-flight token per chunk and the consumer releases it only
-// when the chunk is emitted, so tasks queued + results waiting in the
-// channel or the heap never exceed the token budget and memory stays
-// proportional to Parallelism x chunk result, not to the loop size. Only
-// the root cursor parallelises — nested levels inside a distributed loop
-// evaluate on the expanded path within their worker's chunk.
-type parallelFLWOR struct {
-	deqs   []workDeque
-	resch  chan chunkResult
-	slots  chan struct{} // in-flight tokens: producer acquires, merge releases
-	donech chan struct{}
-	wg     sync.WaitGroup // producer + workers; a closer joins them and closes resch
-	met    *obs.ExecMetrics
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queued   int  // tasks dealt to deques and not yet claimed
-	prodDone bool // producer exhausted the binding stream
-	stopped  bool // close() called; workers must not start new tasks
-
-	// Consumer-side merge state (single goroutine, never shared).
-	closed  bool
-	heap    resultHeap
-	nextSeq int64
-	iev     *xqeval.Evaluator // evaluates cost-gated inline chunks at the merge
-	out     []xqeval.Item
-	i       int
-}
-
-// chunkTask is one sequence-numbered slice of the binding stream, ready for
-// a worker (or a thief) to evaluate.
-type chunkTask struct {
-	seq     int64
-	tuples  []xqeval.Item
-	basePos int64
-}
-
-// chunkResult carries one chunk's outcome back to the merge. An inline
-// result carries the unevaluated tuples instead: the producer decided the
-// chunk was too small to amortise a dispatch (the per-chunk cost gate) and
-// the consumer evaluates it itself when its sequence number comes up.
-type chunkResult struct {
-	seq     int64
-	items   []xqeval.Item
-	err     error
-	inline  []xqeval.Item
-	basePos int64
-}
-
-// workDeque is one worker's chunk-task queue. The owner pops newest-first
-// (its cache is warm with the producer's latest tuples), thieves steal
-// oldest-first — the classic work-stealing discipline. A plain mutex guards
-// each deque: at chunk granularity the lock is all but uncontended, and the
-// pool's in-flight token budget bounds every deque's length.
-type workDeque struct {
-	mu    sync.Mutex
-	tasks []chunkTask
-	head  int
-}
-
-func (d *workDeque) push(t chunkTask) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-// pop removes the newest task (owner side).
-func (d *workDeque) pop() (chunkTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return chunkTask{}, false
-	}
-	n := len(d.tasks) - 1
-	t := d.tasks[n]
-	d.tasks[n] = chunkTask{} // release the tuple slice
-	d.tasks = d.tasks[:n]
-	if d.head >= len(d.tasks) {
-		d.tasks, d.head = d.tasks[:0], 0
-	}
-	return t, true
-}
-
-// steal removes the oldest task (thief side).
-func (d *workDeque) steal() (chunkTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return chunkTask{}, false
-	}
-	t := d.tasks[d.head]
-	d.tasks[d.head] = chunkTask{}
-	d.head++
-	if d.head >= len(d.tasks) {
-		d.tasks, d.head = d.tasks[:0], 0
-	}
-	return t, true
-}
-
-// resultHeap orders out-of-sequence chunk results by producer sequence
-// number — the same hand-rolled binary min-heap as the StandOff merge's
-// preHeap, keyed on seq instead of pre rank.
-type resultHeap struct {
-	rs []chunkResult
-}
-
-func (h *resultHeap) len() int { return len(h.rs) }
-
-func (h *resultHeap) push(r chunkResult) {
-	h.rs = append(h.rs, r)
-	i := len(h.rs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.rs[p].seq <= h.rs[i].seq {
-			break
-		}
-		h.rs[p], h.rs[i] = h.rs[i], h.rs[p]
-		i = p
-	}
-}
-
-func (h *resultHeap) pop() chunkResult {
-	r := h.rs[0]
-	n := len(h.rs) - 1
-	h.rs[0] = h.rs[n]
-	h.rs[n] = chunkResult{}
-	h.rs = h.rs[:n]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.rs[l].seq < h.rs[s].seq {
-			s = l
-		}
-		if rt < n && h.rs[rt].seq < h.rs[s].seq {
-			s = rt
-		}
-		if s == i {
-			break
-		}
-		h.rs[i], h.rs[s] = h.rs[s], h.rs[i]
-		i = s
-	}
-	return r
-}
-
-// startParallel decides the partition size, applies the small-loop gate, and
-// spins up the producer and workers. It returns nil when the binding stream
-// ends below the gate — the caller then runs the buffered tuples through the
-// ordinary sequential chunk path.
-func startParallel(c *flworCursor) *parallelFLWOR {
+// startParallel applies the small-loop gate and, above it, hands the binding
+// stream to an orderedPool: a producer goroutine slices it into chunks, and
+// each chunk is one task evaluating the FLWOR tail over its worker's
+// evaluator fork (the plan is immutable and race-safe to share). It returns
+// nil when the binding stream ends below the gate — the caller then runs the
+// buffered tuples through the ordinary sequential chunk path. Only the root
+// cursor parallelises: nested levels inside a distributed loop evaluate on
+// the expanded path within their worker's chunk.
+func startParallel(c *flworCursor) *orderedPool {
 	pchunk := parallelChunkSize
 	if s := c.x.cfg.ChunkSize; s > 0 && s < pchunk {
 		pchunk = s
@@ -616,270 +463,42 @@ func startParallel(c *flworCursor) *parallelFLWOR {
 		c.pending = prefix
 		return nil
 	}
-
-	workers := c.x.cfg.Parallelism
-	inflight := 2 * workers
-	p := &parallelFLWOR{
-		deqs:   make([]workDeque, workers),
-		resch:  make(chan chunkResult, inflight),
-		slots:  make(chan struct{}, inflight),
-		donech: make(chan struct{}),
-		met:    c.x.ev.Met,
-		iev:    c.x.ev.Fork(),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	p.iev.AttachArena()
-	p.wg.Add(workers + 1)
-	for w := 0; w < workers; w++ {
-		go p.worker(c, w)
-	}
-	go p.produce(c, c.bind, prefix, pchunk)
-	// The closer shuts the result channel once the producer and every
-	// worker has exited — the merge reads end-of-stream from the close.
-	go func() {
-		p.wg.Wait()
-		close(p.resch)
-	}()
-	return p
-}
-
-// produce slices the binding stream into sequence-numbered chunk tasks and
-// deals them round-robin into the worker deques. It owns the binding cursor
-// exclusively — no other goroutine touches it once the pool starts. Each
-// chunk first acquires an in-flight token (released by the merge when the
-// chunk is emitted), which is what bounds the deques and the result heap.
-func (p *parallelFLWOR) produce(c *flworCursor, bind Cursor, prefix []xqeval.Item, pchunk int) {
-	defer p.wg.Done()
-	defer func() {
-		p.mu.Lock()
-		p.prodDone = true
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	}()
-	defer bind.Close()
-	// The per-chunk cost gate: dispatching a chunk costs a queue round trip
-	// and a forked evaluation — the same order of machinery the cost model
-	// prices as the loop-lifted setup cost. A trailing partial chunk below
-	// that many tuples is cheaper to evaluate inline at the merge. Full
-	// chunks are never gated, so the gate cannot serialise a configuration
-	// whose ChunkSize is small.
-	inlineRows := xqplan.SetupRows()
-	var seq, basePos int64
-	emit := func(tuples []xqeval.Item) bool {
-		if !p.acquireSlot() {
-			return false
-		}
-		t := chunkTask{seq: seq, tuples: tuples, basePos: basePos}
-		seq++
-		basePos += int64(len(tuples))
-		if len(tuples) < pchunk && len(tuples) < inlineRows {
-			select {
-			case p.resch <- chunkResult{seq: t.seq, inline: t.tuples, basePos: t.basePos}:
-				return true
-			case <-p.donech:
-				return false
+	bind := c.bind
+	return startOrderedPool(c.x.cfg.Parallelism, c.x.ev, c.x.ev.Met, func(submit func(taskFunc) bool) {
+		// The producer owns the binding cursor exclusively from here on.
+		defer bind.Close()
+		var basePos int64
+		for {
+			// The buffered prefix fills the first chunks, so every chunk
+			// boundary falls on a multiple of pchunk, as in a sequential run
+			// with that chunk size.
+			n := min(pchunk, len(prefix))
+			tuples := append(make([]xqeval.Item, 0, pchunk), prefix[:n]...)
+			prefix = prefix[n:]
+			for len(tuples) < pchunk && bind.Next() {
+				tuples = append(tuples, bind.Item())
 			}
-		}
-		p.deqs[int(t.seq)%len(p.deqs)].push(t)
-		p.mu.Lock()
-		p.queued++
-		p.mu.Unlock()
-		p.cond.Signal()
-		return true
-	}
-	for len(prefix) > 0 {
-		n := min(pchunk, len(prefix))
-		if !emit(prefix[:n:n]) {
-			return
-		}
-		prefix = prefix[n:]
-	}
-	for {
-		tuples := make([]xqeval.Item, 0, pchunk)
-		for len(tuples) < pchunk && bind.Next() {
-			tuples = append(tuples, bind.Item())
-		}
-		if err := bind.Err(); err != nil {
-			// The error occupies the next sequence slot, so the merge
-			// surfaces it only after every preceding chunk — exactly where
-			// the sequential stream would have failed.
-			if !p.acquireSlot() {
+			if err := bind.Err(); err != nil {
+				// The error takes the next task slot, so it surfaces after
+				// every preceding chunk — where the sequential stream fails.
+				submit(func(*xqeval.Evaluator, func([]xqeval.Item) bool) error { return err })
 				return
 			}
-			select {
-			case p.resch <- chunkResult{seq: seq, err: err}:
-			case <-p.donech:
+			if len(tuples) == 0 {
+				return
 			}
-			return
-		}
-		if len(tuples) == 0 {
-			return
-		}
-		if !emit(tuples) {
-			return
-		}
-	}
-}
-
-// acquireSlot takes one in-flight token for the producer, counting a stall
-// when the budget is exhausted and the producer genuinely has to wait for
-// the merge to release one — the saturation signal of the pool. Returns
-// false when the pool shut down instead.
-func (p *parallelFLWOR) acquireSlot() bool {
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	default:
-	}
-	p.met.InflightWait()
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	case <-p.donech:
-		return false
-	}
-}
-
-func (p *parallelFLWOR) worker(c *flworCursor, w int) {
-	defer p.wg.Done()
-	// One fork per worker goroutine, with its own join arena (arenas are
-	// single-goroutine; Fork drops the parent's). The fork's per-chunk
-	// state (recursion depth) resets itself because evalFLWORChunk always
-	// starts from depth 0.
-	ev := c.x.ev.Fork()
-	ev.AttachArena()
-	defer ev.DetachArena()
-	for {
-		t, ok := p.takeTask(w)
-		if !ok {
-			return
-		}
-		items, err := evalFLWORChunk(ev, c, t.tuples, t.basePos)
-		select {
-		case p.resch <- chunkResult{seq: t.seq, items: items, err: err}:
-		case <-p.donech:
-			return
-		}
-	}
-}
-
-// takeTask is the work-stealing loop for worker w: drain the own deque
-// (newest first), then sweep the siblings' deques (oldest first), then sleep
-// on the pool condition until the producer deals more work or the pool shuts
-// down. Returns false when no task will ever arrive again.
-func (p *parallelFLWOR) takeTask(w int) (chunkTask, bool) {
-	for {
-		select {
-		case <-p.donech:
-			return chunkTask{}, false
-		default:
-		}
-		if t, ok := p.deqs[w].pop(); ok {
-			p.claim()
-			return t, true
-		}
-		for d := 1; d < len(p.deqs); d++ {
-			if t, ok := p.deqs[(w+d)%len(p.deqs)].steal(); ok {
-				p.met.Steal()
-				p.claim()
-				return t, true
+			pos := basePos
+			basePos += int64(len(tuples))
+			ok := submit(func(ev *xqeval.Evaluator, emit func([]xqeval.Item) bool) error {
+				items, err := evalFLWORChunk(ev, c, tuples, pos)
+				if err == nil {
+					emit(items)
+				}
+				return err
+			})
+			if !ok {
+				return
 			}
 		}
-		p.mu.Lock()
-		if p.queued == 0 {
-			if p.prodDone || p.stopped {
-				p.mu.Unlock()
-				return chunkTask{}, false
-			}
-			p.cond.Wait()
-		}
-		p.mu.Unlock()
-	}
-}
-
-// claim accounts one task leaving the deques. queued is incremented only
-// after the task is pushed, so a sleeping worker woken by the signal always
-// finds the task it was woken for (or sleeps again after a failed sweep).
-func (p *parallelFLWOR) claim() {
-	p.mu.Lock()
-	p.queued--
-	p.mu.Unlock()
-}
-
-// next is the order-preserving merge: results arrive in completion order and
-// are re-sequenced through the min-heap, so chunks are emitted strictly in
-// the order the producer numbered them and the parallel stream is
-// item-for-item the sequential stream.
-func (p *parallelFLWOR) next(c *flworCursor) bool {
-	for c.err == nil {
-		if p.i < len(p.out) {
-			c.cur = p.out[p.i]
-			p.i++
-			return true
-		}
-		if p.heap.len() > 0 && p.heap.rs[0].seq == p.nextSeq {
-			if !p.take(c, p.heap.pop()) {
-				return false
-			}
-			continue
-		}
-		r, ok := <-p.resch
-		if !ok {
-			// Producer and workers are done and every result was taken:
-			// sequence numbers are contiguous, so the heap is empty too.
-			return false
-		}
-		if r.seq != p.nextSeq {
-			p.heap.push(r)
-			continue
-		}
-		if !p.take(c, r) {
-			return false
-		}
-	}
-	return false
-}
-
-// take emits one in-sequence chunk result: releases its in-flight token (the
-// producer may now deal the next chunk), surfaces its error, evaluates it
-// here if the producer's cost gate kept it inline, and stages its items.
-func (p *parallelFLWOR) take(c *flworCursor, r chunkResult) bool {
-	p.nextSeq++
-	<-p.slots
-	if r.err != nil {
-		c.err = r.err
-		return false
-	}
-	if r.inline != nil {
-		items, err := evalFLWORChunk(p.iev, c, r.inline, r.basePos)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		p.out, p.i = items, 0
-		return true
-	}
-	p.out, p.i = r.items, 0
-	return true
-}
-
-func (p *parallelFLWOR) close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.donech)
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	// Drain the result channel until the closer shuts it: that happens only
-	// after the producer and every worker has exited, and the caller
-	// releases the parent evaluator's join arena right after Close, so no
-	// goroutine that reads the evaluator (Fork) or evaluates over it (the
-	// producer's binding cursor) may outlive this loop.
-	for range p.resch {
-	}
-	p.iev.DetachArena()
-	p.heap.rs = nil
+	})
 }

@@ -1,6 +1,7 @@
 package xqexec
 
 import (
+	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
@@ -166,20 +167,28 @@ func (c *pathCursor) init() {
 
 // newStage builds the chunked stage for one StandOff step over an item
 // context, dispatching on the step's class. A nil stage (with nil error)
-// means the context is not chunkable and the caller must run the bulk step.
+// means the context is not chunkable — nodes of more than one document (the
+// join partitions per document fragment; the bulk step handles that) — and
+// the caller must run the bulk step. Attribute context nodes can never match
+// and are dropped, but still count as context rows.
 func newStage(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (soStage, error) {
-	if sp.Streamability() == xqplan.StreamChunkedReject {
-		rc, err := newRejectCursor(x, sp, g)
-		if rc == nil || err != nil {
-			return nil, err
+	var d *tree.Doc
+	pres := make([]int32, 0, len(g))
+	for _, it := range g {
+		if it.Kind != xqeval.KNode {
+			continue
 		}
-		return rc, nil
+		if d == nil {
+			d = it.D
+		} else if it.D != d {
+			return nil, nil
+		}
+		pres = append(pres, it.Pre)
 	}
-	sc, err := newStandoffCursor(x, sp, g)
-	if sc == nil || err != nil {
-		return nil, err
+	if sp.Streamability() == xqplan.StreamChunkedReject {
+		return newRejectCursorFromPres(x, sp, d, pres, len(g))
 	}
-	return sc, nil
+	return newStandoffCursorFromPres(x, sp, d, pres, len(g), len(g))
 }
 
 // newStageFromUpstream drains the upstream stage into a pres context — 12
@@ -200,9 +209,9 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up soStage) (soStage
 	d := up.streamDoc()
 	up.Close()
 	if sp.Streamability() == xqplan.StreamChunkedReject {
-		return newRejectCursorFromPres(x, sp, d, pres)
+		return newRejectCursorFromPres(x, sp, d, pres, len(pres))
 	}
-	return newStandoffCursorFromPres(x, sp, d, pres)
+	return newStandoffCursorFromPres(x, sp, d, pres, len(pres), len(pres))
 }
 
 // drainStageItems materialises a chain stage's remaining output as items,

@@ -100,64 +100,25 @@ type soCtx struct {
 	pre   int32
 }
 
-// newStandoffCursor builds the chunked cursor for a StandOff select final
-// step over the evaluated context g. It returns (nil, nil) when the context
-// is not chunkable — nodes of more than one document (the join partitions
-// per document fragment; the bulk step handles that) — and the caller falls
-// back to the bulk step. Non-area and attribute context nodes can never
-// match and are dropped from the chunk stream.
-func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*standoffCursor, error) {
-	var d *tree.Doc
-	for _, it := range g {
-		if it.Kind != xqeval.KNode {
-			continue
-		}
-		if d == nil {
-			d = it.D
-		} else if it.D != d {
-			return nil, nil
-		}
-	}
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.chunkSize()}
-	if d == nil {
+// newStandoffCursorFromPres builds the chunked select cursor over context
+// pres of a single document: an upstream chain stage's drained output, or
+// the element nodes of an item context (newStage). rowsIn is the context row
+// count the step's ANALYZE record reports and ctxRows the cardinality the
+// cost model prices — the whole loop, so chunking never changes the
+// Basic/Loop-Lifted decision.
+func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32, rowsIn, ctxRows int) (*standoffCursor, error) {
+	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(rowsIn), chunk: x.chunkSize()}
+	if d == nil || len(pres) == 0 {
 		// No element context at all: the step is empty, but still streams
 		// (and still reports its ANALYZE row counts).
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d, len(g))
+	so, err := x.ev.NewStandOffStream(sp, d, ctxRows)
 	if err != nil {
 		return nil, err
 	}
 	if so == nil {
 		return c, nil // no candidate can ever match: empty stream
-	}
-	c.so = so
-	c.d = so.Doc()
-	c.ctx = make([]soCtx, 0, len(g))
-	for _, it := range g {
-		if s, ok := so.CtxStart(it); ok {
-			c.ctx = append(c.ctx, soCtx{start: s, pre: it.Pre})
-		}
-	}
-	sortCtxByStart(c.ctx)
-	return c, nil
-}
-
-// newStandoffCursorFromPres builds the chunked select cursor over an
-// upstream chain stage's drained output: pres of a single document, already
-// deduplicated and in document order. Unlike the item form this never fails
-// over to the bulk step — a single document is guaranteed by construction.
-func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*standoffCursor, error) {
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.chunkSize()}
-	if d == nil || len(pres) == 0 {
-		return c, nil
-	}
-	so, err := x.ev.NewStandOffStream(sp, d, len(pres))
-	if err != nil {
-		return nil, err
-	}
-	if so == nil {
-		return c, nil
 	}
 	c.so = so
 	c.d = so.Doc()
@@ -424,23 +385,12 @@ type rejectCursor struct {
 	cur      xqeval.Item
 }
 
-// newRejectCursor builds the chunked reject cursor over the evaluated
-// context g. Returns (nil, nil) when the context spans documents — the bulk
-// anti-join partitions per document; the caller falls back.
-func newRejectCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*rejectCursor, error) {
-	var d *tree.Doc
-	for _, it := range g {
-		if it.Kind != xqeval.KNode {
-			continue // attributes and atomics never touch a document
-		}
-		if d == nil {
-			d = it.D
-		} else if it.D != d {
-			return nil, nil
-		}
-	}
-	c := &rejectCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.chunkSize()}
-	if d == nil {
+// newRejectCursorFromPres builds the chunked reject cursor over context pres
+// of a single document (document order); rowsIn is the ANALYZE context row
+// count.
+func newRejectCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32, rowsIn int) (*rejectCursor, error) {
+	c := &rejectCursor{x: x, sp: sp, rowsIn: int64(rowsIn), chunk: x.chunkSize()}
+	if d == nil || len(pres) == 0 {
 		return c, nil // no element context: no document touched, empty result
 	}
 	// ctxRows 1 mirrors the bulk anti-join's cost input: it prices the merge
@@ -451,32 +401,6 @@ func newRejectCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*reject
 	}
 	if so == nil {
 		return c, nil // no candidate exists: complement universe is empty
-	}
-	c.so = so
-	c.d = so.Doc()
-	c.ctx = make([]soCtx, 0, len(g))
-	for _, it := range g {
-		if s, ok := so.CtxStart(it); ok {
-			c.ctx = append(c.ctx, soCtx{start: s, pre: it.Pre})
-		}
-	}
-	sortCtxByStart(c.ctx)
-	return c, nil
-}
-
-// newRejectCursorFromPres builds the chunked reject cursor over an upstream
-// chain stage's drained pres (single document, document order).
-func newRejectCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*rejectCursor, error) {
-	c := &rejectCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.chunkSize()}
-	if d == nil || len(pres) == 0 {
-		return c, nil // empty upstream: the document is not touched
-	}
-	so, err := x.ev.NewStandOffStream(sp, d, 1)
-	if err != nil {
-		return nil, err
-	}
-	if so == nil {
-		return c, nil
 	}
 	c.so = so
 	c.d = so.Doc()

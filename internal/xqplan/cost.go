@@ -42,13 +42,6 @@ import (
 // change materially.
 const llSetupRows = 32
 
-// SetupRows reports the loop-lifted setup cost in scanned-row equivalents.
-// The parallel pool reuses it as its per-chunk dispatch gate: handing a
-// chunk to a worker costs a queue round trip plus a forked evaluation — the
-// same order of fixed machinery — so a trailing chunk below this many tuples
-// evaluates inline at the merge instead of being dealt to a deque.
-func SetupRows() int { return llSetupRows }
-
 // CostEstimate is one cost-model decision: the candidate estimate taken from
 // the region index statistics, the context cardinality observed at
 // execution, the per-strategy cost estimates, and the chosen strategy.
@@ -66,14 +59,9 @@ type CostEstimate struct {
 	// equivalents.
 	Basic      float64
 	LoopLifted float64
-	// SetupRows is the Loop-Lifted setup cost the estimate was priced with:
-	// the static llSetupRows default, or the ANALYZE-calibrated value.
-	SetupRows int
 	// EstOut is the predicted output cardinality of the step: the candidate
-	// upper bound from the index statistics until the step has observed
-	// executions, then observed-selectivity × ctxRows (the EXPLAIN ANALYZE
-	// feedback, see StepPlan.observeOutput). It is what a later step's
-	// context-cardinality prediction propagates from.
+	// upper bound from the index statistics (a StandOff step cannot produce
+	// more distinct areas than its candidate sequence holds).
 	EstOut int
 	// Strategy is the chosen algorithm (the cheaper estimate).
 	Strategy core.Strategy
@@ -103,28 +91,17 @@ func estimateCandidates(policy CandPolicy, name string, ix *core.RegionIndex) in
 // EstimateCost prices both join algorithms for one (step policy, index,
 // observed context cardinality) combination and picks the cheaper one.
 // ctxRows < 1 is treated as 1: a step always joins at least one context row.
-// setupRows is the Loop-Lifted setup cost to price with — pass
-// Calibration.SetupRows() for the feedback-calibrated value; zero or
-// negative means the static default.
-func EstimateCost(policy CandPolicy, name string, ix *core.RegionIndex, ctxRows, setupRows int) CostEstimate {
+func EstimateCost(policy CandPolicy, name string, ix *core.RegionIndex, ctxRows int) CostEstimate {
 	if ctxRows < 1 {
 		ctxRows = 1
-	}
-	if setupRows <= 0 {
-		setupRows = llSetupRows
 	}
 	est := estimateCandidates(policy, name, ix)
 	ce := CostEstimate{
 		Candidates: est,
 		CtxRows:    ctxRows,
 		Basic:      float64(ctxRows)*float64(est) + float64(ctxRows),
-		LoopLifted: float64(est) + float64(ctxRows) + float64(setupRows),
-		SetupRows:  setupRows,
-		// Prior output prediction: a StandOff step cannot produce more
-		// distinct areas than its candidate sequence holds. Observed
-		// selectivity replaces this bound once the step has executed under
-		// ANALYZE (StrategyFor).
-		EstOut: est,
+		LoopLifted: float64(est) + float64(ctxRows) + llSetupRows,
+		EstOut:     est,
 	}
 	ce.DeltaIns, ce.DeltaDead = ix.DeltaStats()
 	if ce.Basic <= ce.LoopLifted {

@@ -375,11 +375,20 @@ func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	return n
 }
 
-// renderDrift flags a step whose observed output selectivity strayed at
-// least selDriftFactor from the cost model's prediction — the same test that
-// invalidates the strategy memo, so EXPLAIN ANALYZE shows exactly the
-// feedback the planner acted on. Everything here is row counts, never
-// timings, so analyzed plans stay deterministic.
+// Drift thresholds of the EXPLAIN ANALYZE drift{} annotation.
+const (
+	// selDriftFactor: an observed selectivity this far (in either
+	// direction) from the estimate's prediction is flagged.
+	selDriftFactor = 4
+	// selMinRows: steps below this many context rows in the run are too
+	// noisy to flag.
+	selMinRows = 16
+)
+
+// renderDrift flags a step whose observed output selectivity in this run
+// strayed at least selDriftFactor from the cost model's prediction. It reads
+// only this run's counters and the estimate; everything here is row counts,
+// never timings, so analyzed plans stay deterministic.
 func renderDrift(ce *CostEstimate, o *StepObs) string {
 	if ce == nil || ce.EstOut <= 0 || ce.CtxRows <= 0 || o.RowsIn < selMinRows {
 		return ""

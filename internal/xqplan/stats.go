@@ -25,11 +25,6 @@ type ExecStats struct {
 	mu    sync.Mutex
 	steps map[*StepPlan]*StepObs
 	ops   map[xqast.Expr]*OpObs
-
-	// Cal, when set, receives every timed join observation this collector
-	// records — the engine hangs its engine-wide Calibration here, so
-	// analyzed executions feed the cost model's setup-cost feedback loop.
-	Cal *Calibration
 }
 
 // NewExecStats returns an empty collector for one execution.
@@ -58,8 +53,7 @@ type StepObs struct {
 	// mode shows up here even though the memoized choice stays untouched).
 	Joins map[core.Strategy]int64
 	// JoinRows and JoinNanos total the context rows and the wall time of
-	// the step's StandOff joins (joins are timed only under ANALYZE); they
-	// are what the setup-cost calibration consumes.
+	// the step's StandOff joins (joins are timed only under ANALYZE).
 	JoinRows  int64
 	JoinNanos int64
 	// StreamChunks, ChunkMin and ChunkMax describe a chunk-streamed run of
@@ -85,8 +79,7 @@ type OpObs struct {
 	Chunks int64
 }
 
-// RecordStep accumulates one step invocation's row counts and feeds the
-// observed output selectivity back into the plan's feedback loop.
+// RecordStep accumulates one step invocation's row counts.
 func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
@@ -101,13 +94,11 @@ func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
 	s.mu.Unlock()
-	sp.observeOutput(rowsIn, rowsOut)
 }
 
 // RecordJoin accumulates one StandOff join invocation — the candidate
 // cardinality it scanned, the algorithm that actually ran, the context rows
-// it joined, and its wall time — and forwards the timing to the engine's
-// setup-cost calibration when one is attached.
+// it joined, and its wall time.
 func (s *ExecStats) RecordJoin(sp *StepPlan, candidates int64, strat core.Strategy, ctxRows, nanos int64) {
 	if s == nil {
 		return
@@ -126,7 +117,6 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, candidates int64, strat core.Strate
 	o.JoinRows += ctxRows
 	o.JoinNanos += nanos
 	s.mu.Unlock()
-	s.Cal.ObserveJoin(strat, int(ctxRows), int(candidates), nanos)
 }
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run

@@ -1,7 +1,6 @@
 package xqplan
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -45,12 +44,6 @@ type StepPlan struct {
 	strategies  sync.Map // strategyKey -> *CostEstimate
 	nStrategies atomic.Int32
 	lastCost    atomic.Pointer[CostEstimate]
-	// obsSel is the EWMA of the step's observed output selectivity
-	// (rows out per context row), fed by EXPLAIN ANALYZE executions
-	// (ExecStats.RecordStep). Stored as the float64 bits of
-	// (1 + selectivity), so the zero value means "never observed" even when
-	// the genuine selectivity is zero.
-	obsSel atomic.Uint64
 }
 
 // stepMemoLimit bounds each StepPlan memo table. The memos are pure caches
@@ -86,11 +79,6 @@ type strategyKey struct {
 	gen      core.IndexGen
 	pushdown bool
 	band     uint8
-	// cal is the calibration generation the decision was priced under: when
-	// the ANALYZE feedback loop moves the calibrated setup cost a band, old
-	// keys stop matching and the choice is re-priced instead of served
-	// stale.
-	cal uint32
 }
 
 // Streamability classifies how a step may execute as the final operator of a
@@ -224,15 +212,13 @@ func (sp *StepPlan) CompiledTest(d *tree.Doc) xpath.Compiled {
 // StrategyFor resolves the Basic vs Loop-Lifted choice for this step against
 // one region index and the context cardinality observed by the calling
 // execution (iterations × context nodes — cost model v2's second input),
-// memoized per (index generation, pushdown, cardinality band, calibration
-// generation): plans can bind to documents loaded after Prepare, so the
-// statistics-based choice happens at first execution rather than at compile
-// time, and each execution's observed cardinality feeds back into the memo.
-// cal may be nil (price with the static setup cost). The most recent
+// memoized per (index generation, pushdown, cardinality band): plans can
+// bind to documents loaded after Prepare, so the statistics-based choice
+// happens at first execution rather than at compile time. The most recent
 // estimate is retained for EXPLAIN (LastCost). Tree-axis steps never call
 // this.
-func (sp *StepPlan) StrategyFor(ix *core.RegionIndex, pushdown bool, ctxRows int, cal *Calibration) core.Strategy {
-	k := strategyKey{gen: ix.Gen(), pushdown: pushdown, band: ctxBand(ctxRows), cal: cal.Gen()}
+func (sp *StepPlan) StrategyFor(ix *core.RegionIndex, pushdown bool, ctxRows int) core.Strategy {
+	k := strategyKey{gen: ix.Gen(), pushdown: pushdown, band: ctxBand(ctxRows)}
 	if v, ok := sp.strategies.Load(k); ok {
 		// Refresh the EXPLAIN record on warm hits too, so est{} always
 		// describes the decision of the most recent execution, not of
@@ -250,85 +236,10 @@ func (sp *StepPlan) StrategyFor(ix *core.RegionIndex, pushdown bool, ctxRows int
 		}
 		return ce.Strategy
 	}
-	ce := EstimateCost(sp.SO.Policy(pushdown), sp.SO.Name, ix, ctxRows, cal.SetupRows())
-	if sel, ok := sp.ObservedSelectivity(); ok {
-		// The feedback loop's output prediction: once ANALYZE has observed
-		// the step, predicted output is selectivity × context rows rather
-		// than the statistics upper bound.
-		ce.EstOut = int(math.Round(sel * float64(ctxRows)))
-	}
+	ce := EstimateCost(sp.SO.Policy(pushdown), sp.SO.Name, ix, ctxRows)
 	sp.lastCost.Store(&ce)
 	memoStore(&sp.strategies, &sp.nStrategies, k, &ce)
 	return ce.Strategy
-}
-
-// Feedback-loop constants.
-const (
-	// selDriftFactor: when the observed selectivity drifts this far (in
-	// either direction) from what the memoized estimate predicted, the
-	// strategy memo is dropped so the next execution re-prices against
-	// reality instead of serving a decision made from a stale prediction.
-	selDriftFactor = 4
-	// selMinRows: invocations below this many context rows are too noisy to
-	// steer the feedback loop.
-	selMinRows = 16
-)
-
-// ObservedSelectivity returns the EWMA of the step's observed output rows
-// per context row; ok=false before the first ANALYZE observation.
-func (sp *StepPlan) ObservedSelectivity() (float64, bool) {
-	b := sp.obsSel.Load()
-	if b == 0 {
-		return 0, false
-	}
-	return math.Float64frombits(b) - 1, true
-}
-
-// observeOutput folds one invocation's output selectivity into the step's
-// EWMA (the est-vs-obs feedback of EXPLAIN ANALYZE) and invalidates the
-// strategy memo when the observation has drifted selDriftFactor away from
-// the selectivity the memoized estimate predicted. Called by
-// ExecStats.RecordStep, so only analyzed executions feed it.
-func (sp *StepPlan) observeOutput(rowsIn, rowsOut int64) {
-	if rowsIn < selMinRows {
-		return
-	}
-	sel := float64(rowsOut) / float64(rowsIn)
-	nv := sel
-	if old, seen := sp.ObservedSelectivity(); seen {
-		nv = 0.75*old + 0.25*sel
-	}
-	sp.obsSel.Store(math.Float64bits(1 + nv))
-	ce := sp.lastCost.Load()
-	if ce == nil || ce.CtxRows <= 0 || ce.EstOut <= 0 {
-		return
-	}
-	pred := float64(ce.EstOut) / float64(ce.CtxRows)
-	if nv > pred*selDriftFactor || nv < pred/selDriftFactor {
-		driftInvalidations.Add(1)
-		sp.invalidateStrategies()
-	}
-}
-
-// driftInvalidations counts strategy-memo drops triggered by est-vs-obs
-// selectivity drift, process-wide (memos live on shared plans, so a
-// per-engine attribution would be arbitrary anyway). Scraped by the metrics
-// registry.
-var driftInvalidations atomic.Uint64
-
-// DriftInvalidations returns the cumulative drift-triggered strategy-memo
-// invalidation count.
-func DriftInvalidations() uint64 { return driftInvalidations.Load() }
-
-// invalidateStrategies drops every memoized strategy decision; the next
-// execution re-prices with the current observed selectivity and calibrated
-// setup cost.
-func (sp *StepPlan) invalidateStrategies() {
-	sp.nStrategies.Store(0)
-	sp.strategies.Range(func(k, _ any) bool {
-		sp.strategies.Delete(k)
-		return true
-	})
 }
 
 // LastCost returns the most recent cost-model estimate resolved for this

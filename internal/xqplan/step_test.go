@@ -129,11 +129,11 @@ func TestStrategySelection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := indexWith(t, tc.dense, tc.rare)
 			sp := step(tc.test)
-			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows, nil); got != tc.want {
+			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows); got != tc.want {
 				t.Fatalf("StrategyFor = %v, want %v (areas=%d ctx=%d)", got, tc.want, ix.Stats().Areas, tc.ctxRows)
 			}
 			// Memoized: the second call answers from the step's cache.
-			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows, nil); got != tc.want {
+			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows); got != tc.want {
 				t.Fatalf("memoized StrategyFor = %v, want %v", got, tc.want)
 			}
 			// The decision record is retained for EXPLAIN.
@@ -153,10 +153,10 @@ func TestStrategySelection(t *testing.T) {
 func TestStrategyFlipsWithContextCardinality(t *testing.T) {
 	ix := indexWith(t, 5, 0) // five candidate areas: v1 says Basic, always
 	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectWide, Test: xpath.Test{Kind: xpath.TestAnyNode}})
-	if got := sp.StrategyFor(ix, true, 2, nil); got != core.StrategyBasic {
+	if got := sp.StrategyFor(ix, true, 2); got != core.StrategyBasic {
 		t.Fatalf("2 context rows: %v, want basic", got)
 	}
-	if got := sp.StrategyFor(ix, true, 1000, nil); got != core.StrategyLoopLifted {
+	if got := sp.StrategyFor(ix, true, 1000); got != core.StrategyLoopLifted {
 		t.Fatalf("1000 context rows: %v, want looplifted", got)
 	}
 	// Distinct cardinality bands hold distinct memo entries.
@@ -174,10 +174,10 @@ func TestStrategyPerIndex(t *testing.T) {
 	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectWide, Test: xpath.Test{Kind: xpath.TestAnyNode}})
 	tiny := indexWith(t, 3, 0)
 	huge := indexWith(t, 300, 0)
-	if got := sp.StrategyFor(tiny, true, 4, nil); got != core.StrategyBasic {
+	if got := sp.StrategyFor(tiny, true, 4); got != core.StrategyBasic {
 		t.Fatalf("tiny index: %v", got)
 	}
-	if got := sp.StrategyFor(huge, true, 4, nil); got != core.StrategyLoopLifted {
+	if got := sp.StrategyFor(huge, true, 4); got != core.StrategyLoopLifted {
 		t.Fatalf("huge index: %v", got)
 	}
 	resolved := sp.ResolvedStrategies()
@@ -209,7 +209,7 @@ func TestStrategyMemoSurvivesIndexRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1, s2 := sp.StrategyFor(ix1, true, 4, nil), sp.StrategyFor(ix2, true, 4, nil); s1 != s2 {
+	if s1, s2 := sp.StrategyFor(ix1, true, 4), sp.StrategyFor(ix2, true, 4); s1 != s2 {
 		t.Fatalf("rebuilt index resolved differently: %v vs %v", s1, s2)
 	}
 	if n := memoLen(); n != 1 {
@@ -223,7 +223,7 @@ func TestStrategyMemoSurvivesIndexRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.StrategyFor(ix3, true, 4, nil)
+	sp.StrategyFor(ix3, true, 4)
 	if n := memoLen(); n != 2 {
 		t.Fatalf("memo entries after distinct document = %d, want 2", n)
 	}

@@ -407,7 +407,7 @@ plan:
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=4 ctx=1 out=4 basic=5 ll=37} merge{+ins=2 -del=1}
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; parallel eligible
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
 	if got := prep.Explain().String(); got != want {

@@ -114,7 +114,8 @@ func (m Mode) strategy() core.Strategy {
 
 // Config tunes query execution.
 type Config struct {
-	// Mode picks the StandOff join algorithm (default ModeLoopLifted).
+	// Mode picks the StandOff join algorithm (default ModeAuto: the cost
+	// model chooses per step).
 	Mode Mode
 	// NoPushdown disables candidate-sequence pushdown of name tests into
 	// StandOff steps; the step then scans all annotations and filters
@@ -177,13 +178,6 @@ type Engine struct {
 	// annotations) at which a mutation auto-compacts a document's region
 	// index; 0 disables auto-compaction (see mutate.go).
 	compactEvery int
-
-	// cal is the engine-wide join-cost calibration: EXPLAIN ANALYZE runs
-	// feed timed join observations into it, and every strategy decision
-	// prices loop-lifted setup with the calibrated value instead of the
-	// static default once enough samples accumulate. Internally atomic —
-	// shared freely across concurrent queries.
-	cal xqplan.Calibration
 
 	// tel is the engine's telemetry: metrics registry, trace ring and
 	// slow-query log (see telemetry.go and docs/OBSERVABILITY.md). Always
@@ -456,15 +450,8 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // so the chunk counters reflect streamed execution.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	st := xqplan.NewExecStats()
-	st.Cal = &p.eng.cal
 	ro := p.beginAnalyze(cfg, st)
-	ev := p.evaluator(cfg)
-	ev.Stats = st
-	chunk := 0
-	if cfg.StreamChunk > 0 {
-		chunk = cfg.StreamChunk
-	}
-	cur, err := xqexec.Build(ev, xqexec.Config{ChunkSize: chunk, Parallelism: cfg.Parallelism})
+	cur, err := p.pipeline(cfg, max(cfg.StreamChunk, 0), st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -496,7 +483,6 @@ func (p *Prepared) evaluatorWith(cfg Config, rv *runView) *xqeval.Evaluator {
 		Strategy: cfg.Mode.strategy(),
 		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
 		Pushdown: !cfg.NoPushdown,
-		Cal:      &e.cal,
 		Met:      e.met(),
 	}
 }

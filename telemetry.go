@@ -48,7 +48,7 @@ const (
 
 // newEngineObs builds the registry, resolves every owned handle, and wires
 // the scrape-time callbacks into the engine's existing counters (plan cache,
-// calibration, arena pool). Scrape callbacks run only at render time, so
+// arena pool, result cache). Scrape callbacks run only at render time, so
 // their locking cost is a scrape concern, never a query-path one.
 func newEngineObs(e *Engine) *engineObs {
 	r := obs.NewRegistry()
@@ -79,8 +79,7 @@ func newEngineObs(e *Engine) *engineObs {
 		JoinBasic:      r.Counter(metricJoinsTotal+`{algorithm="basic"}`, "StandOff join invocations by algorithm"),
 		JoinLoopLifted: r.Counter(metricJoinsTotal+`{algorithm="looplifted"}`, ""),
 		JoinNaive:      r.Counter(metricJoinsTotal+`{algorithm="naive"}`, ""),
-		WorkSteals:     r.Counter("soxq_worksteal_steals_total", "parallel FLWOR chunk tasks taken from a sibling worker's deque"),
-		InflightWaits:  r.Counter("soxq_worksteal_inflight_waits_total", "producer stalls on the parallel pool's in-flight token budget"),
+		InflightWaits:  r.Counter("soxq_worksteal_inflight_waits_total", "producer stalls on the parallel pool's in-flight budget"),
 		ChunkGrow:      r.Counter(`soxq_chunk_adapt_total{dir="grow"}`, "streamed StandOff chunk-size adaptations"),
 		ChunkShrink:    r.Counter(`soxq_chunk_adapt_total{dir="shrink"}`, ""),
 	}
@@ -105,17 +104,6 @@ func newEngineObs(e *Engine) *engineObs {
 		func() int64 { h, _ := core.ArenaPoolStats(); return int64(h) })
 	r.CounterFunc("soxq_arena_pool_misses_total", "join-arena acquires that allocated (process-wide)",
 		func() int64 { _, m := core.ArenaPoolStats(); return int64(m) })
-
-	// Cost-model feedback loops: llSetupRows calibration and strategy-memo
-	// drift invalidations.
-	r.CounterFunc("soxq_calibration_updates_total", "llSetupRows calibration samples folded in",
-		func() int64 { return int64(e.cal.Samples()) })
-	r.GaugeFunc("soxq_calibration_setup_rows", "calibrated Loop-Lifted setup cost, scanned-row equivalents",
-		func() int64 { return int64(e.cal.SetupRows()) })
-	r.GaugeFunc("soxq_calibration_gen", "calibration generation (band changes re-keying the strategy memo)",
-		func() int64 { return int64(e.cal.Gen()) })
-	r.CounterFunc("soxq_strategy_drift_invalidations_total", "strategy-memo drops from est-vs-obs selectivity drift (process-wide)",
-		func() int64 { return int64(xqplan.DriftInvalidations()) })
 
 	r.GaugeFunc("soxq_documents_loaded", "documents currently loaded",
 		func() int64 { return int64(len(e.Documents())) })
@@ -231,7 +219,7 @@ type runObs struct {
 
 // beginRun starts the telemetry of one execution. The trace collector is
 // created only under cfg.Trace — tracing rides the same ExecStats machinery
-// as EXPLAIN ANALYZE, so a traced run also feeds the calibration loop.
+// as EXPLAIN ANALYZE.
 func (p *Prepared) beginRun(cfg Config, api string) runObs {
 	if p.eng.tel == nil {
 		return runObs{}
@@ -239,7 +227,6 @@ func (p *Prepared) beginRun(cfg Config, api string) runObs {
 	ro := runObs{p: p, mode: runMode(cfg, api), start: time.Now()}
 	if cfg.Trace {
 		ro.st = xqplan.NewExecStats()
-		ro.st.Cal = &p.eng.cal
 	}
 	return ro
 }

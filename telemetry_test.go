@@ -113,14 +113,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_joins_total{algorithm="naive"}`,
 		`soxq_arena_pool_hits_total`,
 		`soxq_arena_pool_misses_total`,
-		`soxq_worksteal_steals_total`,
 		`soxq_worksteal_inflight_waits_total`,
 		`soxq_chunk_adapt_total{dir="grow"}`,
 		`soxq_chunk_adapt_total{dir="shrink"}`,
-		`soxq_calibration_updates_total`,
-		`soxq_calibration_setup_rows`,
-		`soxq_calibration_gen`,
-		`soxq_strategy_drift_invalidations_total`,
 		`soxq_traces_total`,
 		`soxq_slow_queries_total`,
 	} {
