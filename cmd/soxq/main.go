@@ -51,7 +51,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -198,13 +197,18 @@ func main() {
 		// matter the result cardinality.
 		cur, err := prep.Stream(cfg)
 		fatalIf(err)
-		w := bufio.NewWriter(os.Stdout)
+		var buf []byte
 		for cur.Next() {
-			w.WriteString(cur.Value().XML())
-			w.WriteByte('\n')
+			buf = append(cur.Value().AppendXML(buf), '\n')
+			if len(buf) >= 64<<10 {
+				_, err := os.Stdout.Write(buf)
+				fatalIf(err)
+				buf = buf[:0]
+			}
 		}
 		fatalIf(cur.Close())
-		fatalIf(w.Flush())
+		_, err = os.Stdout.Write(buf)
+		fatalIf(err)
 		if *timing {
 			fmt.Fprintf(os.Stderr, "eval: %v\n", time.Since(evalStart))
 		}

@@ -1,8 +1,9 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -38,6 +39,28 @@ func benchDoc(scenes, hitsPerScene int) string {
 	return sb.String()
 }
 
+// benchQuery returns every hit of the bench corpus: benchRowsPerMember rows
+// per member.
+const benchQuery = `doc("bench")//scene/select-narrow::hit`
+
+// newBenchServer serves the bench corpus: benchDocs copies of benchDoc.
+func newBenchServer(tb testing.TB) *server {
+	tb.Helper()
+	eng := soxq.New()
+	doc := benchDoc(benchScenes, benchHitsPerScene)
+	members := make([]string, benchDocs)
+	for i := range members {
+		members[i] = fmt.Sprintf("doc%02d.xml", i)
+		if err := eng.LoadXML(members[i], []byte(doc)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.CreateCorpus("bench", members...); err != nil {
+		tb.Fatal(err)
+	}
+	return newServer(eng, serverConfig{})
+}
+
 // BenchmarkServerThroughput measures one full HTTP query round trip over the
 // 122k-region corpus: request in, 120k NDJSON rows streamed out, connection
 // reused across iterations. The sequential cell (shards drained one after
@@ -45,22 +68,9 @@ func benchDoc(scenes, hitsPerScene int) string {
 // parallel cell fans the eight shards across four workers and self-skips on
 // a single-core runner, where there is no parallelism to measure.
 func BenchmarkServerThroughput(b *testing.B) {
-	eng := soxq.New()
-	doc := benchDoc(benchScenes, benchHitsPerScene)
-	members := make([]string, benchDocs)
-	for i := range members {
-		members[i] = fmt.Sprintf("doc%02d.xml", i)
-		if err := eng.LoadXML(members[i], []byte(doc)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := eng.CreateCorpus("bench", members...); err != nil {
-		b.Fatal(err)
-	}
-	s := newServer(eng, serverConfig{})
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(newBenchServer(b).handler())
 	defer ts.Close()
-	q := url.QueryEscape(`doc("bench")//scene/select-narrow::hit`)
+	q := url.QueryEscape(benchQuery)
 	wantRows := benchDocs * benchRowsPerMember
 
 	run := func(b *testing.B, parallel int) {
@@ -77,17 +87,13 @@ func BenchmarkServerThroughput(b *testing.B) {
 				resp.Body.Close()
 				b.Fatalf("status %d", resp.StatusCode)
 			}
-			rows := -1 // the trailer line is not a row
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
-			for sc.Scan() {
-				rows++
-			}
-			if err := sc.Err(); err != nil {
+			var lines lineCounter
+			_, err = io.Copy(&lines, resp.Body)
+			resp.Body.Close()
+			if err != nil {
 				b.Fatal(err)
 			}
-			resp.Body.Close()
-			if rows != wantRows {
+			if rows := int(lines) - 1; rows != wantRows { // the trailer line is not a row
 				b.Fatalf("%d rows, want %d", rows, wantRows)
 			}
 		}
@@ -100,4 +106,13 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 		run(b, 4)
 	})
+}
+
+// lineCounter is an io.Writer that counts newlines, so the benchmark client
+// drains a response without buffering or allocating per line.
+type lineCounter int
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	*c += lineCounter(bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
 }

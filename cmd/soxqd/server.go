@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"soxq"
 )
@@ -384,7 +385,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.writeResult(w, r, format, res)
+		s.writeResult(w, format, res)
 		return
 	}
 	var cur *soxq.Cursor
@@ -406,10 +407,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // incrementally, rare enough not to defeat response buffering.
 const flushEvery = 64
 
-type ndjsonRow struct {
-	XML string `json:"xml"`
-}
-
 type ndjsonTrailer struct {
 	Done  bool   `json:"done,omitempty"`
 	Rows  int    `json:"rows"`
@@ -420,74 +417,157 @@ type ndjsonTrailer struct {
 // detected through the request context and write failures; either way the
 // drain stops and the deferred Close in the caller tears the pipeline down.
 func (s *server) writeStream(w http.ResponseWriter, r *http.Request, format string, cur *soxq.Cursor) {
-	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
-	enc := json.NewEncoder(w)
-	xmlOut := format == "xml"
-	if xmlOut {
-		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		if _, err := io.WriteString(w, "<results>\n"); err != nil {
+	rw := newRowWriter(w, format)
+	for cur.Next() {
+		if ctx.Err() != nil || !rw.add(cur.Value()) {
+			return // client gone; nothing sensible left to write
+		}
+	}
+	rw.finish(cur.Err())
+}
+
+// writeResult writes a materialised (cached) result through the same row
+// encoder as writeStream, so clients need not care which path served them.
+func (s *server) writeResult(w http.ResponseWriter, format string, res *soxq.Result) {
+	rw := newRowWriter(w, format)
+	for i := 0; i < res.Len(); i++ {
+		if !rw.add(res.Value(i)) {
 			return
 		}
+	}
+	rw.finish(nil)
+}
+
+// writeChunk is the buffered byte count at which rows go to the
+// ResponseWriter between flushes, so a response with large rows holds about
+// writeChunk bytes plus one row rather than flushEvery rows.
+const writeChunk = 4 << 10
+
+// rowWriter encodes a query response: every row is appended to one
+// per-response buffer, which goes to the client every flushEvery rows
+// followed by a Flush, and in between whenever it holds writeChunk bytes.
+type rowWriter struct {
+	w      http.ResponseWriter
+	xmlOut bool
+	buf    []byte // encoded rows not yet written
+	xml    []byte // the current row's markup, before JSON escaping
+	rows   int
+}
+
+func newRowWriter(w http.ResponseWriter, format string) *rowWriter {
+	rw := &rowWriter{w: w, xmlOut: format == "xml"}
+	if rw.xmlOut {
+		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+		rw.buf = append(rw.buf, "<results>\n"...)
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	rows := 0
-	for cur.Next() {
-		if ctx.Err() != nil {
-			return
-		}
-		var err error
-		if xmlOut {
-			_, err = io.WriteString(w, cur.Value().XML()+"\n")
-		} else {
-			err = enc.Encode(ndjsonRow{XML: cur.Value().XML()})
-		}
-		if err != nil {
-			return // client gone; nothing sensible left to write
-		}
-		rows++
-		if rows%flushEvery == 0 && flusher != nil {
-			flusher.Flush()
-		}
+	return rw
+}
+
+// add encodes one row. It reports false once a write has failed, i.e. the
+// client is gone.
+func (rw *rowWriter) add(v soxq.Value) bool {
+	if rw.xmlOut {
+		rw.buf = append(v.AppendXML(rw.buf), '\n')
+	} else {
+		rw.xml = v.AppendXML(rw.xml[:0])
+		rw.buf = appendNDJSONRow(rw.buf, rw.xml)
 	}
-	if err := cur.Err(); err != nil {
-		if xmlOut {
-			var b strings.Builder
-			xml.EscapeText(&b, []byte(err.Error()))
-			fmt.Fprintf(w, "<error>%s</error>\n</results>\n", b.String())
-		} else {
-			enc.Encode(ndjsonTrailer{Rows: rows, Error: err.Error()})
-		}
+	rw.rows++
+	flush := rw.rows%flushEvery == 0
+	if !flush && len(rw.buf) < writeChunk {
+		return true
+	}
+	if _, err := rw.w.Write(rw.buf); err != nil {
+		return false
+	}
+	rw.buf = rw.buf[:0]
+	if f, ok := rw.w.(http.Flusher); flush && ok {
+		f.Flush()
+	}
+	return true
+}
+
+// finish writes the rows still buffered, then the trailer: the error record
+// when err is non-nil, else the end of the stream. Either way the trailer
+// counts every row the client received.
+func (rw *rowWriter) finish(err error) {
+	if _, werr := rw.w.Write(rw.buf); werr != nil {
 		return
 	}
-	if xmlOut {
-		io.WriteString(w, "</results>\n")
-	} else {
-		enc.Encode(ndjsonTrailer{Done: true, Rows: rows})
+	switch {
+	case err != nil && rw.xmlOut:
+		var b strings.Builder
+		xml.EscapeText(&b, []byte(err.Error()))
+		fmt.Fprintf(rw.w, "<error>%s</error>\n</results>\n", b.String())
+	case err != nil:
+		json.NewEncoder(rw.w).Encode(ndjsonTrailer{Rows: rw.rows, Error: err.Error()})
+	case rw.xmlOut:
+		io.WriteString(rw.w, "</results>\n")
+	default:
+		json.NewEncoder(rw.w).Encode(ndjsonTrailer{Done: true, Rows: rw.rows})
 	}
 }
 
-// writeResult writes a materialised (cached) result in the same wire formats
-// as writeStream, so clients need not care which path served them.
-func (s *server) writeResult(w http.ResponseWriter, r *http.Request, format string, res *soxq.Result) {
-	if format == "xml" {
-		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		io.WriteString(w, "<results>\n")
-		for i := 0; i < res.Len(); i++ {
-			if _, err := io.WriteString(w, res.Value(i).XML()+"\n"); err != nil {
-				return
+// appendNDJSONRow appends the NDJSON row carrying the markup xml: the bytes
+// json.Encoder.Encode writes for a struct with one field `json:"xml"`
+// holding string(xml).
+func appendNDJSONRow(dst, xml []byte) []byte {
+	dst = appendJSONString(append(dst, `{"xml":`...), xml)
+	return append(dst, "}\n"...)
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json's default encoder writes: short escapes for the quote,
+// backslash, \b \f \n \r \t, \u00XX for other control bytes and for the
+// HTML-sensitive < > &, \u2028/\u2029, and \ufffd for each invalid UTF-8
+// byte.
+func appendJSONString(dst, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
 			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		io.WriteString(w, "</results>\n")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := 0; i < res.Len(); i++ {
-		if err := enc.Encode(ndjsonRow{XML: res.Value(i).XML()}); err != nil {
-			return
+		r, n := utf8.DecodeRune(s[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += n
+			continue
 		}
+		i += n
+		start = i
 	}
-	enc.Encode(ndjsonTrailer{Done: true, Rows: res.Len()})
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

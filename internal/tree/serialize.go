@@ -1,136 +1,127 @@
 package tree
 
-import (
-	"io"
-	"strings"
-)
+import "unicode/utf8"
 
-// SerializeNode writes node pre (and its subtree) as XML text. For the
-// document node all children are written in order; attributes are emitted in
-// stored order. Text content and attribute values are escaped so that the
-// output re-parses to an identical tree.
-func (d *Doc) SerializeNode(w io.Writer, pre int32) error {
-	s := serializer{d: d, w: w}
-	s.node(pre)
-	return s.err
-}
-
-// XMLString renders node pre (and its subtree) as a string.
-func (d *Doc) XMLString(pre int32) string {
-	var sb strings.Builder
-	_ = d.SerializeNode(&sb, pre)
-	return sb.String()
-}
-
-type serializer struct {
-	d   *Doc
-	w   io.Writer
-	err error
-}
-
-func (s *serializer) write(str string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, str)
-	}
-}
-
-func (s *serializer) node(pre int32) {
-	d := s.d
+// AppendXML appends the XML markup of node pre (and its subtree) to dst and
+// returns the extended slice. For the document node all children are written
+// in order; attributes are emitted in stored order. Text content and
+// attribute values are escaped so that the output re-parses to an identical
+// tree.
+func (d *Doc) AppendXML(dst []byte, pre int32) []byte {
 	switch d.kind[pre] {
 	case DocumentNode:
 		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			s.node(c)
+			dst = d.AppendXML(dst, c)
 		}
 	case ElementNode:
 		name := d.NodeName(pre)
-		s.write("<")
-		s.write(name)
+		dst = append(append(dst, '<'), name...)
 		lo, hi := d.Attrs(pre)
 		for i := lo; i < hi; i++ {
-			s.write(" ")
-			s.write(d.AttrName(i))
-			s.write("=\"")
-			s.write(EscapeAttr(d.AttrValue(i)))
-			s.write("\"")
+			dst = d.AppendAttrXML(append(dst, ' '), i)
 		}
 		if d.Size(pre) == 0 {
-			s.write("/>")
-			return
+			return append(dst, "/>"...)
 		}
-		s.write(">")
+		dst = append(dst, '>')
 		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			s.node(c)
+			dst = d.AppendXML(dst, c)
 		}
-		s.write("</")
-		s.write(name)
-		s.write(">")
+		dst = append(append(dst, "</"...), name...)
+		dst = append(dst, '>')
 	case TextNode:
-		s.write(EscapeText(d.Value(pre)))
+		dst = AppendEscapeText(dst, d.ValueBytes(pre))
 	case CommentNode:
-		s.write("<!--")
-		s.write(d.Value(pre))
-		s.write("-->")
+		dst = append(append(dst, "<!--"...), d.ValueBytes(pre)...)
+		dst = append(dst, "-->"...)
 	case PINode:
-		s.write("<?")
-		s.write(d.NodeName(pre))
-		if v := d.Value(pre); v != "" {
-			s.write(" ")
-			s.write(v)
+		dst = append(append(dst, "<?"...), d.NodeName(pre)...)
+		if v := d.ValueBytes(pre); len(v) > 0 {
+			dst = append(append(dst, ' '), v...)
 		}
-		s.write("?>")
+		dst = append(dst, "?>"...)
 	}
+	return dst
 }
 
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\r") {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '\r':
-			sb.WriteString("&#13;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
+// AppendAttrXML appends attribute row i as name="value", the value escaped
+// for a double-quoted attribute.
+func (d *Doc) AppendAttrXML(dst []byte, i int32) []byte {
+	dst = append(append(dst, d.AttrName(i)...), '=', '"')
+	dst = AppendEscapeAttr(dst, d.AttrValueBytes(i))
+	return append(dst, '"')
 }
 
-// EscapeAttr escapes an attribute value for a double-quoted attribute.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\t\n\r") {
-		return s
+// XMLString renders node pre (and its subtree) as a string.
+func (d *Doc) XMLString(pre int32) string { return string(d.AppendXML(nil, pre)) }
+
+// AppendEscapeText appends s escaped as element character data. A value with
+// nothing to escape is copied through unchanged.
+func AppendEscapeText(dst, s []byte) []byte { return appendEscaped(dst, s, false) }
+
+// AppendEscapeAttr appends s escaped for a double-quoted attribute value. A
+// value with nothing to escape is copied through unchanged.
+func AppendEscapeAttr(dst, s []byte) []byte { return appendEscaped(dst, s, true) }
+
+// escapeFor returns the entity replacing byte c, or "" when c is kept as is.
+// Attribute values also escape the quote and the whitespace that attribute
+// value normalisation would otherwise fold to spaces.
+func escapeFor(c byte, attr bool) string {
+	switch c {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\r':
+		return "&#13;"
 	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
+	if attr {
+		switch c {
 		case '"':
-			sb.WriteString("&quot;")
+			return "&quot;"
 		case '\t':
-			sb.WriteString("&#9;")
+			return "&#9;"
 		case '\n':
-			sb.WriteString("&#10;")
-		case '\r':
-			sb.WriteString("&#13;")
-		default:
-			sb.WriteRune(r)
+			return "&#10;"
 		}
 	}
-	return sb.String()
+	return ""
+}
+
+// appendEscaped appends s with escapeFor's replacements. A value that needs
+// escaping is re-encoded rune by rune, so invalid UTF-8 in it comes out as
+// U+FFFD; one that needs none is copied byte for byte.
+func appendEscaped(dst, s []byte, attr bool) []byte {
+	clean := true
+	for _, c := range s {
+		if escapeFor(c, attr) != "" {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return append(dst, s...)
+	}
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if e := escapeFor(c, attr); e != "" {
+				dst = append(dst, e...)
+			} else {
+				dst = append(dst, c)
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(s[i:])
+		if r == utf8.RuneError && n == 1 {
+			dst = utf8.AppendRune(dst, utf8.RuneError)
+		} else {
+			dst = append(dst, s[i:i+n]...)
+		}
+		i += n
+	}
+	return dst
 }

@@ -180,6 +180,80 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
+// TestAppendXMLGolden pins AppendXML's bytes for every node kind and every
+// escape: the serializer feeds the server's wire format, so any change here
+// changes response bodies.
+func TestAppendXMLGolden(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(b *Builder)
+		pre   int32
+		want  string
+	}{
+		{"text escapes", func(b *Builder) {
+			b.StartElement("e")
+			b.Text("a&b<c>d\re \"q\" 'a'\tt\nn")
+			b.EndElement()
+		}, 1, "<e>a&amp;b&lt;c&gt;d&#13;e \"q\" 'a'\tt\nn</e>"},
+		{"attribute escapes", func(b *Builder) {
+			b.StartElement("e")
+			b.Attr("a", "q\"t\tn\nr\r<&>'")
+			b.Attr("b", "plain")
+			b.EndElement()
+		}, 1, `<e a="q&quot;t&#9;n&#10;r&#13;&lt;&amp;&gt;'" b="plain"/>`},
+		{"comment and PIs", func(b *Builder) {
+			b.StartElement("e")
+			b.Comment(" x<&> ")
+			b.PI("t", "")
+			b.PI("u", "d <&>")
+			b.EndElement()
+		}, 1, `<e><!-- x<&> --><?t?><?u d <&>?></e>`},
+		{"empty elements", func(b *Builder) {
+			b.StartElement("e")
+			b.StartElement("f")
+			b.EndElement()
+			b.StartElement("g")
+			b.Attr("k", "v")
+			b.EndElement()
+			b.EndElement()
+		}, 1, `<e><f/><g k="v"/></e>`},
+		{"document node", func(b *Builder) {
+			b.Comment("top")
+			b.StartElement("r")
+			b.Text("x")
+			b.EndElement()
+			b.PI("end", "")
+		}, 0, `<!--top--><r>x</r><?end?>`},
+		{"non-ASCII passes through", func(b *Builder) {
+			b.StartElement("e")
+			b.Attr("a", "é☃")
+			b.Text("é😀\u2028")
+			b.EndElement()
+		}, 1, "<e a=\"é☃\">é😀\u2028</e>"},
+		{"invalid UTF-8 kept when clean, replaced when escaped", func(b *Builder) {
+			b.StartElement("e")
+			b.Attr("a", "x\xffy")
+			b.Attr("b", "x\xff&")
+			b.Text("\xc3<")
+			b.EndElement()
+		}, 1, "<e a=\"x\xffy\" b=\"x\uFFFD&amp;\">\uFFFD&lt;</e>"},
+	}
+	for _, c := range cases {
+		b := NewBuilder("golden.xml")
+		c.build(b)
+		d, err := b.Done()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := string(d.AppendXML([]byte("prefix:"), c.pre)); got != "prefix:"+c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, got, "prefix:"+c.want)
+		}
+		if got := d.XMLString(c.pre); got != c.want {
+			t.Errorf("%s: XMLString = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestTextMerging(t *testing.T) {
 	b := NewBuilder("merge.xml")
 	b.StartElement("e")

@@ -170,7 +170,7 @@ func (s *standoffizer) write(pre int32) {
 	s.xml.WriteString(d.NodeName(pre))
 	lo, hi := d.Attrs(pre)
 	for a := lo; a < hi; a++ {
-		fmt.Fprintf(&s.xml, ` %s="%s"`, d.AttrName(a), tree.EscapeAttr(d.AttrValue(a)))
+		s.xml.Write(d.AppendAttrXML(append(s.xml.AvailableBuffer(), ' '), a))
 	}
 	fmt.Fprintf(&s.xml, ` %s="%d" %s="%d"`, s.cfg.StartAttr, s.start[pre], s.cfg.EndAttr, s.end[pre])
 

@@ -371,7 +371,9 @@ func (p *parser) text() error {
 		}
 		p.advance(1)
 	}
-	raw := string(p.data[start:p.pos])
+	// End-of-line handling applies to the raw text, so a character
+	// reference &#13; still yields a carriage return.
+	raw := normalizeNewlines(string(p.data[start:p.pos]))
 	decoded, err := p.decodeEntities(raw, false)
 	if err != nil {
 		return err
@@ -385,7 +387,7 @@ func (p *parser) text() error {
 	if p.opts.DropWhitespaceText && strings.TrimLeft(decoded, " \t\r\n") == "" {
 		return nil
 	}
-	p.b.Text(normalizeNewlines(decoded))
+	p.b.Text(decoded)
 	return nil
 }
 

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -620,14 +619,14 @@ func (r *Result) Values() []Value {
 // String renders the whole sequence, items separated by spaces, nodes as
 // XML.
 func (r *Result) String() string {
-	var sb strings.Builder
+	var b []byte
 	for i := range r.items {
 		if i > 0 {
-			sb.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		sb.WriteString(Value{it: r.items[i]}.XML())
+		b = Value{it: r.items[i]}.AppendXML(b)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Strings returns the string value of every item.
@@ -652,14 +651,18 @@ func (v Value) String() string { return v.it.StringValue() }
 
 // XML renders a node as XML markup; atomic values render as their string
 // value and attribute nodes as name="value".
-func (v Value) XML() string {
+func (v Value) XML() string { return string(v.AppendXML(nil)) }
+
+// AppendXML appends the value's XML rendering (as XML returns it) to dst and
+// returns the extended slice, so a caller serialising many values can reuse
+// one buffer.
+func (v Value) AppendXML(dst []byte) []byte {
 	switch v.it.Kind {
 	case xqeval.KNode:
-		return v.it.D.XMLString(v.it.Pre)
+		return v.it.D.AppendXML(dst, v.it.Pre)
 	case xqeval.KAttr:
-		return fmt.Sprintf(`%s="%s"`, v.it.D.AttrName(v.it.Att),
-			tree.EscapeAttr(v.it.D.AttrValue(v.it.Att)))
+		return v.it.D.AppendAttrXML(dst, v.it.Att)
 	default:
-		return v.it.StringValue()
+		return append(dst, v.it.StringValue()...)
 	}
 }

@@ -1,7 +1,6 @@
 package soxq
 
 import (
-	"bufio"
 	"io"
 
 	"soxq/internal/xqexec"
@@ -60,26 +59,32 @@ func (c *Cursor) Close() error {
 // WriteXML serialises the remaining items of the stream to w — nodes as XML
 // markup, atomic values as their string values, items separated by single
 // spaces (the streamed equivalent of Result.String). Serialisation is itself
-// a pipeline sink: each item is written as it is produced.
+// a pipeline sink: items are appended to one buffer as they are produced,
+// and the buffer goes to w whenever it holds writeXMLChunk bytes.
 func (c *Cursor) WriteXML(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	first := true
-	for c.Next() {
+	var buf []byte
+	for first := true; c.Next(); first = false {
 		if !first {
-			if err := bw.WriteByte(' '); err != nil {
+			buf = append(buf, ' ')
+		}
+		buf = c.Value().AppendXML(buf)
+		if len(buf) >= writeXMLChunk {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-		}
-		first = false
-		if _, err := bw.WriteString(c.Value().XML()); err != nil {
-			return err
+			buf = buf[:0]
 		}
 	}
 	if err := c.Err(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
+
+// writeXMLChunk is the buffered byte count at which WriteXML hands its
+// buffer to the writer (bufio's default buffer size).
+const writeXMLChunk = 4096
 
 // Stream executes the compiled query as a pull-based cursor pipeline:
 // FLWOR tuples are evaluated in bounded chunks (Config.StreamChunk), large
