@@ -529,7 +529,7 @@ func timeCalibrationCell(ctx, cand int, mode soxq.Mode) time.Duration {
 		fatal("%v", err)
 	}
 	cfg := soxq.Config{Mode: mode}
-	if _, err := prep.Exec(cfg); err != nil { // warm the strategy memo and caches
+	if _, err := prep.Exec(cfg); err != nil { // warm the index and caches
 		fatal("%v", err)
 	}
 	times := make([]time.Duration, 5)

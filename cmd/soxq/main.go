@@ -224,8 +224,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "eval: %v\n", time.Since(evalStart))
 	}
 	if *explain {
-		// The query ran above, so the plan's strategy memos hold the
-		// choices the cost model actually made.
+		// The query ran above, so the plan's steps hold the choices the
+		// cost model actually made.
 		fmt.Print(prep.Explain().String())
 		return
 	}

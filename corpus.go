@@ -19,7 +19,7 @@ import (
 //
 // over a corpus named "news" runs once per member with doc("news") bound to
 // each member in turn, exactly as if the member's own name had been written.
-// Per-shard strategy memos, plan caching and the bounded-memory cursor
+// Per-shard strategy pricing, plan caching and the bounded-memory cursor
 // pipeline all apply unchanged; what the corpus layer adds is the fan-out,
 // the document-order merge (internal/xqexec.MergeShards) and a result cache
 // keyed by the catalog generation.
@@ -127,40 +127,6 @@ func (e *Engine) corpusShards(corpus string) ([]shard, uint64, error) {
 	return shards, e.gen.Load(), nil
 }
 
-// corpusMerge builds the fan-out/merge cursor of one corpus run: one lazily
-// built shard pipeline per member, drained through the cross-document merge.
-// cfg.Parallelism governs the shard pool (one worker drains one shard's
-// pipeline at a time); shard-internal FLWOR partitioning stays off under the
-// pool so a run's goroutine count is bounded by the shard workers, while a
-// sequential run (Parallelism <= 1) keeps the single-document behaviour and
-// hands cfg.Parallelism to each shard pipeline instead.
-func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) (xqexec.Cursor, error) {
-	shards, _, err := p.eng.corpusShards(corpus)
-	if err != nil {
-		return nil, err
-	}
-	p.eng.tel.corpusRun(len(shards))
-	shardWorkers := cfg.Parallelism
-	innerParallel := 0
-	if shardWorkers <= 1 {
-		innerParallel = cfg.Parallelism
-	}
-	sources := make([]xqexec.ShardSource, len(shards))
-	for i, sh := range shards {
-		sources[i] = func() (xqexec.Cursor, error) {
-			// The run view is pre-seeded so both the corpus URI and the
-			// member's own name resolve to the pinned member snapshot; any
-			// other document reference falls through to the engine.
-			rv := &runView{eng: p.eng, opts: p.plan.Options(),
-				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}}
-			ev := p.evaluatorWith(cfg, rv)
-			ev.Stats = ro.st
-			return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk, Parallelism: innerParallel})
-		}
-	}
-	return xqexec.MergeShards(sources, shardWorkers, chunk, p.eng.met()), nil
-}
-
 // StreamCorpus executes the compiled query once per member document of the
 // named corpus and returns one cursor over the merged result: shard streams
 // concatenate in corpus order, item-for-item identical to running the query
@@ -169,32 +135,20 @@ func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) 
 // never to the corpus size, and Close mid-stream tears the pool down without
 // leaking a goroutine.
 func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
-	chunk := cfg.StreamChunk
-	if chunk <= 0 {
-		chunk = xqexec.DefaultChunkSize
+	if corpus == "" {
+		return nil, fmt.Errorf("soxq: no corpus %q", corpus)
 	}
-	ro := p.beginRun(cfg, "stream")
-	cur, err := p.corpusMerge(corpus, cfg, chunk, ro)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{cur: cur, ro: ro}, nil
+	return p.stream(corpus, cfg)
 }
 
 // ExecCorpus is the materialising form of StreamCorpus: the merged corpus
 // stream drained into a Result.
 func (p *Prepared) ExecCorpus(corpus string, cfg Config) (*Result, error) {
+	if corpus == "" {
+		return nil, fmt.Errorf("soxq: no corpus %q", corpus)
+	}
 	ro := p.beginRun(cfg, "exec")
-	cur, err := p.corpusMerge(corpus, cfg, xqexec.DefaultChunkSize, ro)
-	if err != nil {
-		return nil, err
-	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{items: items}, nil
+	return p.drain(ro, corpus, cfg, xqexec.DefaultChunkSize, ro.st)
 }
 
 // resultKey identifies one cached corpus result. The catalog generation is

@@ -3,6 +3,7 @@ package soxq
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -24,18 +25,35 @@ import (
 // paper describes), layers overlap and nest, duplicate regions exist, and
 // queries nest FLWORs over annotation layers — exactly the shapes where the
 // chunked StandOff merge and the cursor-valued bindings must re-establish
-// the bulk semantics.
+// the bulk semantics. Engine variants agreeing with each other is not
+// enough, so the plain StandOff path templates are also checked against a
+// definitional oracle (fuzzOracle) computed from the generated elements.
 
 // fuzzLayers are the annotation layers a generated document draws from.
 var fuzzLayers = [3]string{"block", "span", "word"}
 
+// fuzzElem is one generated child of the document element; start < 0 marks
+// a note without a region.
+type fuzzElem struct {
+	name, id   string
+	start, end int64
+}
+
+func (e fuzzElem) xml() string {
+	if e.start < 0 {
+		return fmt.Sprintf(`<%s id="%s"/>`, e.name, e.id)
+	}
+	return fmt.Sprintf(`<%s id="%s" start="%d" end="%d"/>`, e.name, e.id, e.start, e.end)
+}
+
 // fuzzDoc generates a stand-off document: each layer gets a random number
 // of annotations with random (possibly overlapping, nested, or duplicate)
 // regions, and the element order is shuffled so document order disagrees
-// with region order.
-func fuzzDoc(r *rand.Rand) string {
+// with region order. It returns the document text and its elements in
+// document order.
+func fuzzDoc(r *rand.Rand) (string, []fuzzElem) {
 	span := int64(200 + r.Intn(800))
-	var elems []string
+	var elems []fuzzElem
 	id := 0
 	for _, layer := range fuzzLayers {
 		n := 1 + r.Intn(9)
@@ -47,23 +65,104 @@ func fuzzDoc(r *rand.Rand) string {
 				end = span
 			}
 			id++
-			elems = append(elems, fmt.Sprintf(`<%s id="%s%d" start="%d" end="%d"/>`,
-				layer, layer[:1], id, start, end))
+			elems = append(elems, fuzzElem{layer, fmt.Sprintf("%s%d", layer[:1], id), start, end})
 			// Occasionally annotate the same region twice — the merge's
 			// cross-chunk dedup must still emit each node exactly once.
 			if r.Intn(8) == 0 {
 				id++
-				elems = append(elems, fmt.Sprintf(`<%s id="%s%d" start="%d" end="%d"/>`,
-					layer, layer[:1], id, start, end))
+				elems = append(elems, fuzzElem{layer, fmt.Sprintf("%s%d", layer[:1], id), start, end})
 			}
 		}
 	}
 	// A few nodes without regions: never area-annotations, never matched.
 	for i := 0; i < r.Intn(3); i++ {
-		elems = append(elems, fmt.Sprintf(`<note id="n%d"/>`, i))
+		elems = append(elems, fuzzElem{"note", fmt.Sprintf("n%d", i), -1, -1})
 	}
 	r.Shuffle(len(elems), func(i, j int) { elems[i], elems[j] = elems[j], elems[i] })
-	return "<corpus>" + strings.Join(elems, "") + "</corpus>"
+	var sb strings.Builder
+	sb.WriteString("<corpus>")
+	for _, e := range elems {
+		sb.WriteString(e.xml())
+	}
+	sb.WriteString("</corpus>")
+	return sb.String(), elems
+}
+
+// The query templates fuzzOracle knows: one StandOff step (optionally
+// followed by /@id) and two chained StandOff steps.
+var (
+	fuzzStepRE  = regexp.MustCompile(`^doc\("f\.xml"\)//(\w+)/([\w-]+)::(\w+)(/@id)?$`)
+	fuzzChainRE = regexp.MustCompile(`^doc\("f\.xml"\)//(\w+)/([\w-]+)::(\w+)/([\w-]+)::(\w+)$`)
+)
+
+// fuzzOracle is the definitional semantics of the StandOff path templates,
+// computed from the generated elements alone: no index, no join kernel. It
+// returns the expected Result.String, or false for any other query.
+func fuzzOracle(elems []fuzzElem, q string) (string, bool) {
+	var out []int
+	attr := false
+	if m := fuzzStepRE.FindStringSubmatch(q); m != nil {
+		out = fuzzStep(elems, fuzzLayer(elems, m[1]), m[2], m[3])
+		attr = m[4] != ""
+	} else if m := fuzzChainRE.FindStringSubmatch(q); m != nil {
+		out = fuzzStep(elems, fuzzStep(elems, fuzzLayer(elems, m[1]), m[2], m[3]), m[4], m[5])
+	} else {
+		return "", false
+	}
+	parts := make([]string, len(out))
+	for k, i := range out {
+		if attr {
+			parts[k] = fmt.Sprintf(`id="%s"`, elems[i].id)
+		} else {
+			parts[k] = elems[i].xml()
+		}
+	}
+	return strings.Join(parts, " "), true
+}
+
+// fuzzLayer returns the positions (document order) of the elements named
+// name.
+func fuzzLayer(elems []fuzzElem, name string) []int {
+	var out []int
+	for i, e := range elems {
+		if e.name == name {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// fuzzStep applies one StandOff axis to the context positions ctx with the
+// closed-interval predicates of section 3.1, context x against candidate c:
+// narrow matches x.s <= c.s && c.e <= x.e, wide matches x.s <= c.e &&
+// c.s <= x.e. A select step keeps the candidates some context node matches,
+// a reject step the candidates no context node matches. The result is in
+// document order without duplicates; an empty context yields nothing.
+func fuzzStep(elems []fuzzElem, ctx []int, axis, name string) []int {
+	if len(ctx) == 0 {
+		return nil
+	}
+	narrow := strings.HasSuffix(axis, "-narrow")
+	sel := strings.HasPrefix(axis, "select-")
+	var out []int
+	for i, c := range elems {
+		if c.name != name || c.start < 0 {
+			continue
+		}
+		match := false
+		for _, j := range ctx {
+			x := elems[j]
+			if narrow && x.start <= c.start && c.end <= x.end ||
+				!narrow && x.start <= c.end && c.start <= x.end {
+				match = true
+				break
+			}
+		}
+		if match == sel {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // fuzzQueries generates a handful of query programs over the document's
@@ -127,11 +226,12 @@ func fuzzConfigs() []Config {
 }
 
 // runFuzzCase executes one seed: generate the document and queries, then
-// assert Exec ≡ Stream ≡ forced-Basic ≡ forced-LoopLifted for every query.
+// assert Exec ≡ Stream ≡ forced-Basic ≡ forced-LoopLifted for every query,
+// and Exec ≡ fuzzOracle for the queries the oracle covers.
 func runFuzzCase(t *testing.T, seed uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(seed)))
-	doc := fuzzDoc(r)
+	doc, elems := fuzzDoc(r)
 	eng := New()
 	if err := eng.LoadXML("f.xml", []byte(doc)); err != nil {
 		t.Fatalf("seed %d: generated document does not parse: %v\n%s", seed, err, doc)
@@ -145,6 +245,10 @@ func runFuzzCase(t *testing.T, seed uint64) {
 		res, refErr := prep.Exec(Config{})
 		if refErr == nil {
 			want = res.String()
+		}
+		if oracle, ok := fuzzOracle(elems, q); ok && (refErr != nil || want != oracle) {
+			t.Fatalf("seed %d query %q: reference diverges from the definitional oracle:\nexec   %q (err %v)\noracle %q\ndoc: %s",
+				seed, q, want, refErr, oracle, doc)
 		}
 		for _, cfg := range fuzzConfigs() {
 			// Every config runs both execution styles.

@@ -160,10 +160,9 @@ func (ix *RegionIndex) nameTouched(nameID int32) bool {
 
 // Compact folds the delta layers into a fresh base index over the current
 // document snapshot. The result is identical — orderings, per-area geometry,
-// multi-region flag — to BuildIndex over the same snapshot, and carries the
-// same generation token (same document, same options), so strategy memos
-// stay warm across compaction. Returns ix unchanged when there is nothing to
-// fold.
+// multi-region flag — to BuildIndex over the same snapshot, so the planner's
+// statistics-based strategy choice is unchanged by compaction. Returns ix
+// unchanged when there is nothing to fold.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix

@@ -28,30 +28,6 @@ type Stats struct {
 // Card returns the element cardinality of name (0 when absent).
 func (s Stats) Card(name string) int { return s.ElementCard[name] }
 
-// IndexGen is the generation token of a region index: a comparable value
-// identifying the (document, options) pair the index was built from. Two
-// indexes built over the same document under the same options carry equal
-// tokens — and, the index being a pure function of both, identical
-// statistics. The planner keys its per-step strategy memos on this token
-// rather than on index identity, so a warm statistics-based choice survives
-// an index rebuild for the same document (an engine evicting and rebuilding
-// indexes does not re-cool every plan), and the memo holds no pointer that
-// would pin a dead document or index.
-// Annotation writes derive new document snapshots sharing the ancestor's
-// order key but bumping a mutation sequence number; seq folds that in, so a
-// write invalidates every memo keyed on the generation while compaction
-// (same snapshot, same options) keeps them warm.
-type IndexGen struct {
-	doc  int64  // tree.Doc.OrderKey: unique per document construction
-	seq  uint64 // tree.Doc.MutSeq: bumped by every snapshot derivation
-	opts Options
-}
-
-// Gen returns the index's generation token.
-func (ix *RegionIndex) Gen() IndexGen {
-	return IndexGen{doc: ix.doc.OrderKey(), seq: ix.doc.MutSeq(), opts: ix.opts}
-}
-
 // Stats returns the index statistics, computed on first use. The result is
 // safe to share: the index is immutable after Build.
 func (ix *RegionIndex) Stats() Stats {

@@ -96,15 +96,13 @@ type Doc struct {
 	elemIndex     map[int32][]int32 // element name id -> ascending pre list
 
 	// Snapshot state (nil/zero on a pristine, Builder-sealed doc).
-	// base points at the pristine ancestor of a mutation lineage; mutSeq
-	// counts the mutations applied since (0 on the pristine doc). sizeHead
+	// base points at the pristine ancestor of a mutation lineage. sizeHead
 	// overrides size[0..len) — appending under the root element grows the
 	// document node's and root element's subtree without touching the size
 	// column older snapshots still read. dead is the tombstone bitset
 	// (whole subtrees; copy-on-write per delete); elemSnap memoizes the
 	// snapshot's merged live element-name lists.
 	base     *Doc
-	mutSeq   uint64
 	sizeHead []int32
 	dead     []uint64
 	deadCnt  int32
@@ -119,11 +117,6 @@ var docOrderCounter atomic.Int64
 // Mutation snapshots keep their ancestor's rank: the document's identity (and
 // its order relative to other documents) is stable across writes.
 func (d *Doc) OrderKey() int64 { return d.order }
-
-// MutSeq returns the number of mutations (append/tombstone snapshots) between
-// the pristine document and this snapshot; 0 for a Builder-sealed doc. The
-// (OrderKey, MutSeq) pair identifies a document generation.
-func (d *Doc) MutSeq() uint64 { return d.mutSeq }
 
 // Alive reports whether node pre is part of this snapshot's logical document
 // (not tombstoned). Tombstones always cover whole subtrees, so every ancestor

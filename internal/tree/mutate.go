@@ -57,7 +57,6 @@ func (d *Doc) cloneSnapshot() *Doc {
 		content:  d.content,
 		dict:     d.dict,
 		order:    d.order,
-		mutSeq:   d.mutSeq + 1,
 		sizeHead: d.sizeHead,
 		dead:     d.dead,
 		deadCnt:  d.deadCnt,

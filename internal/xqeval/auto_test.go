@@ -85,7 +85,7 @@ func TestAutoStrategyResolution(t *testing.T) {
 	}
 	soStep := standOffStepOf(t, plan)
 
-	// Forced run: the memo stays empty — the cost model was never asked.
+	// Forced run: the step records no decision — the cost model was never asked.
 	if _, err := h.newEvaluator(plan, core.StrategyBasic).Run(); err != nil {
 		t.Fatal(err)
 	}

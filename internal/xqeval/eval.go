@@ -33,8 +33,8 @@ type Evaluator struct {
 	BlobFor func(d *tree.Doc) blob.Store
 	// Strategy picks the StandOff join algorithm (section 4.6 variants).
 	// core.StrategyAuto defers the Basic vs Loop-Lifted choice to the
-	// plan's per-step cost model, resolved against each region index's
-	// statistics at first use; any other value forces that algorithm for
+	// plan's per-step cost model, priced against each region index's
+	// statistics on every join; any other value forces that algorithm for
 	// every step.
 	Strategy core.Strategy
 	// JoinCfg tunes the join (active-set structure, tracing).

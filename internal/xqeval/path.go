@@ -207,7 +207,7 @@ func (ev *Evaluator) evalStepTreeFast(sp *xqplan.StepPlan, ctx LLSeq) (LLSeq, er
 // region index and the context cardinality this execution observed
 // (iterations × context nodes — the second input of cost model v2): a
 // forced engine strategy (the benchmarking modes) always wins; StrategyAuto
-// defers to the step's memoized cost-model choice.
+// defers to the step's cost model, priced against ix on every call.
 func (ev *Evaluator) strategyFor(sp *xqplan.StepPlan, ix *core.RegionIndex, ctxRows int) core.Strategy {
 	if ev.Strategy != core.StrategyAuto {
 		return ev.Strategy

@@ -1,10 +1,6 @@
 package xqplan
 
-import (
-	"math/bits"
-
-	"soxq/internal/core"
-)
+import "soxq/internal/core"
 
 // This file is cost model v2: the Basic vs Loop-Lifted choice for a StandOff
 // step, made from the index statistics AND the context cardinality observed
@@ -110,17 +106,4 @@ func EstimateCost(policy CandPolicy, name string, ix *core.RegionIndex, ctxRows 
 		ce.Strategy = core.StrategyLoopLifted
 	}
 	return ce
-}
-
-// ctxBand buckets a context cardinality for the strategy memo: cardinalities
-// in the same power-of-two band share one memoized decision. The cost
-// crossover moves smoothly with ctxRows, so two cardinalities within 2x of
-// each other virtually always price to the same strategy; banding keeps the
-// memo bounded (at most 64 bands) while still re-deciding when a plan's
-// observed cardinality genuinely changes between executions.
-func ctxBand(ctxRows int) uint8 {
-	if ctxRows < 1 {
-		ctxRows = 1
-	}
-	return uint8(bits.Len(uint(ctxRows)))
 }

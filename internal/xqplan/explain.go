@@ -101,7 +101,7 @@ func (s StepExplain) Strategy() string {
 
 // Explain returns the structured description of the plan's compiled form
 // with cost estimates only (EXPLAIN). The strategy and estimate fields
-// reflect the cost-model choices memoized so far, so an Explain taken after
+// reflect the cost-model choices recorded so far, so an Explain taken after
 // an execution reports the strategies actually used.
 func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 

@@ -5,21 +5,22 @@
 // constant subexpressions folded, and every path expression compiled into a
 // step program — per step, the axis with the // fusion applied, the node
 // test, the stand-off classification with the section 3.3 candidate-pushdown
-// decision, and the join-strategy selection hook (resolved against region
-// index statistics at first execution, since documents bind after Prepare).
+// decision, and the join-strategy selection hook (priced against region
+// index statistics at each execution, since documents bind after Prepare).
 //
-// A Plan carries no mutable state besides per-step memo tables of resolved
-// (document, index) residue and no references to documents or indexes, so
-// one Plan can back any number of concurrent executions and can be cached
-// across queries (the engine keys its plan cache on query text + effective
-// options).
+// A Plan carries no mutable state besides each StandOff step's EXPLAIN
+// record of its latest strategy decision, and no references to documents or
+// indexes, so one Plan can back any number of concurrent executions and can
+// be cached across queries (the engine keys its plan cache on query text +
+// effective options).
 //
 // The package also owns the two observability pieces that close the loop
 // between planning and execution. Cost model v2 (cost.go) prices the Basic
 // vs Loop-Lifted StandOff join per step from the index statistics AND the
-// context cardinality the executing evaluator observes, memoized per (index
-// generation, pushdown, cardinality band) on the step (step.go); the cutoff
-// is calibrated by `sobench -calibrate`, not hard-coded. ExecStats
+// context cardinality the executing evaluator observes, on every execution
+// (step.go). Its one tuning constant, llSetupRows, was measured offline with
+// `sobench -calibrate` and is compiled in; nothing re-calibrates it at run
+// time. ExecStats
 // (stats.go) collects one execution's per-operator counters — rows in/out,
 // candidates scanned, join algorithm run, FLWOR tuples and chunks — and
 // Plan.Explain / Plan.ExplainWith (explain.go) render the operator tree

@@ -50,7 +50,8 @@ type StepObs struct {
 	Candidates int64
 	// Joins counts StandOff join invocations per algorithm actually run —
 	// the observed counterpart of the plan's chosen strategy (a forced
-	// mode shows up here even though the memoized choice stays untouched).
+	// mode shows up here even though the step's recorded choice stays
+	// untouched).
 	Joins map[core.Strategy]int64
 	// JoinRows and JoinNanos total the context rows and the wall time of
 	// the step's StandOff joins (joins are timed only under ANALYZE).

@@ -1,7 +1,6 @@
 package xqplan
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"soxq/internal/core"
@@ -17,14 +16,12 @@ import (
 // decided here, once, at compile time; the evaluator consumes StepPlans
 // without re-deriving any of it per evaluation.
 //
-// The two memo tables hold the per-document residue that cannot be decided
-// before a plan binds to documents: the node test resolved against a
-// document's dictionary, and the statistics-based Basic vs Loop-Lifted
-// choice per index generation (the document/options token, so a rebuilt
-// index for the same document stays warm). Both are resolved at first use
-// and cached, with the table reset once it outgrows stepMemoLimit — a plan
-// held across many document reload cycles must not pin every dead document
-// tree its test-memo keys reference. A StepPlan is shared by every
+// What cannot be decided before a plan binds to documents — the node test
+// resolved against a document's dictionary, and the statistics-based Basic
+// vs Loop-Lifted choice against a region index — is computed on every call:
+// both are a few dictionary or statistics lookups, cheaper than any cache
+// keyed on the document would be. The step holds no per-document state, only
+// the EXPLAIN record of its latest decision. A StepPlan is shared by every
 // concurrent execution of its plan; use pointers, never copy one.
 type StepPlan struct {
 	Axis       xpath.Axis
@@ -39,46 +36,8 @@ type StepPlan struct {
 	StandOff bool
 	SO       SOStep
 
-	tests       sync.Map // *tree.Doc -> xpath.Compiled
-	nTests      atomic.Int32
-	strategies  sync.Map // strategyKey -> *CostEstimate
-	nStrategies atomic.Int32
-	lastCost    atomic.Pointer[CostEstimate]
-}
-
-// stepMemoLimit bounds each StepPlan memo table. The memos are pure caches
-// keyed by document / index pointers; resetting one merely costs a
-// recompute, while letting it grow would keep every document a long-lived
-// plan ever bound to reachable.
-const stepMemoLimit = 128
-
-// memoStore inserts into a memo table, resetting the table when it outgrows
-// stepMemoLimit. A concurrent reset may drop a freshly stored entry — that
-// only means one extra recompute later.
-func memoStore(m *sync.Map, n *atomic.Int32, k, v any) {
-	if n.Add(1) > stepMemoLimit {
-		n.Store(0)
-		m.Range(func(key, _ any) bool {
-			m.Delete(key)
-			return true
-		})
-	}
-	m.Store(k, v)
-}
-
-// strategyKey memoizes the cost-model choice per (index generation, pushdown
-// setting, context-cardinality band) triple: the candidate estimate differs
-// when the name test is pushed down versus post-filtered, and the
-// Basic-vs-Loop-Lifted crossover moves with the observed context
-// cardinality, so executions in different cardinality bands re-decide.
-// Keying on the generation token rather than the *RegionIndex identity means
-// a rebuilt index for the same document under the same options hits the warm
-// memo — the statistics are identical by construction — and the memo pins
-// neither the document nor the index.
-type strategyKey struct {
-	gen      core.IndexGen
-	pushdown bool
-	band     uint8
+	lastCost atomic.Pointer[CostEstimate]
+	resolved atomic.Uint32 // bit s set once the cost model chose Strategy s
 }
 
 // Streamability classifies how a step may execute as the final operator of a
@@ -197,55 +156,37 @@ func compileProgram(v *xqast.Path) Program {
 	return prog
 }
 
-// CompiledTest returns the step's node test resolved against d's dictionary,
-// memoized per document so repeated executions of a cached plan skip the
-// string lookup entirely.
+// CompiledTest returns the step's node test resolved against d's dictionary.
 func (sp *StepPlan) CompiledTest(d *tree.Doc) xpath.Compiled {
-	if c, ok := sp.tests.Load(d); ok {
-		return c.(xpath.Compiled)
-	}
-	c := xpath.Compile(d, sp.Test)
-	memoStore(&sp.tests, &sp.nTests, d, c)
-	return c
+	return xpath.Compile(d, sp.Test)
 }
 
 // StrategyFor resolves the Basic vs Loop-Lifted choice for this step against
 // one region index and the context cardinality observed by the calling
-// execution (iterations × context nodes — cost model v2's second input),
-// memoized per (index generation, pushdown, cardinality band): plans can
-// bind to documents loaded after Prepare, so the statistics-based choice
-// happens at first execution rather than at compile time. The most recent
+// execution (iterations × context nodes — cost model v2's second input).
+// Plans can bind to documents loaded after Prepare, so the choice is priced
+// at execution from the index statistics, on every call. The most recent
 // estimate is retained for EXPLAIN (LastCost). Tree-axis steps never call
 // this.
 func (sp *StepPlan) StrategyFor(ix *core.RegionIndex, pushdown bool, ctxRows int) core.Strategy {
-	k := strategyKey{gen: ix.Gen(), pushdown: pushdown, band: ctxBand(ctxRows)}
-	if v, ok := sp.strategies.Load(k); ok {
-		// Refresh the EXPLAIN record on warm hits too, so est{} always
-		// describes the decision of the most recent execution, not of
-		// whichever execution happened to miss the memo last. Compaction
-		// folds an index's delta without bumping its generation (the memo
-		// stays warm on purpose), so the delta counts are re-read from the
-		// live index rather than served from the memoized record.
-		ce := v.(*CostEstimate)
-		if ins, del := ix.DeltaStats(); ins != ce.DeltaIns || del != ce.DeltaDead {
-			cp := *ce
-			cp.DeltaIns, cp.DeltaDead = ins, del
-			sp.lastCost.Store(&cp)
-		} else {
-			sp.lastCost.Store(ce)
-		}
-		return ce.Strategy
-	}
+	// Both records are written only on change, so concurrent executions of
+	// a plan share the step's cache line read-only in the steady state.
 	ce := EstimateCost(sp.SO.Policy(pushdown), sp.SO.Name, ix, ctxRows)
-	sp.lastCost.Store(&ce)
-	memoStore(&sp.strategies, &sp.nStrategies, k, &ce)
+	if last := sp.lastCost.Load(); last == nil || *last != ce {
+		rec := ce // copied here so ce stays on the stack on the unchanged path
+		sp.lastCost.Store(&rec)
+	}
+	if bit := uint32(1) << ce.Strategy; sp.resolved.Load()&bit == 0 {
+		sp.resolved.Or(bit)
+	}
 	return ce.Strategy
 }
 
 // LastCost returns the most recent cost-model estimate resolved for this
 // step, or nil before the first auto-mode execution. A step that has
-// executed against several indexes (or in several cardinality bands) reports
-// the latest decision; ResolvedStrategies lists every distinct outcome.
+// executed against several indexes (or at several context cardinalities)
+// reports the latest decision; ResolvedStrategies lists every distinct
+// outcome.
 func (sp *StepPlan) LastCost() *CostEstimate { return sp.lastCost.Load() }
 
 // ResolvedStrategies returns the distinct strategies the cost model has
@@ -253,14 +194,9 @@ func (sp *StepPlan) LastCost() *CostEstimate { return sp.lastCost.Load() }
 // or when every execution forced a strategy). Sorted ascending for
 // deterministic EXPLAIN output.
 func (sp *StepPlan) ResolvedStrategies() []core.Strategy {
-	seen := map[core.Strategy]bool{}
-	sp.strategies.Range(func(_, v any) bool {
-		seen[v.(*CostEstimate).Strategy] = true
-		return true
-	})
 	var out []core.Strategy
 	for _, s := range []core.Strategy{core.StrategyNaive, core.StrategyBasic, core.StrategyLoopLifted} {
-		if seen[s] {
+		if sp.resolved.Load()&(1<<s) != 0 {
 			out = append(out, s)
 		}
 	}

@@ -184,8 +184,8 @@ func (e *Engine) DeleteAnnotation(docName, elem string, start, end int64) (int, 
 
 // CompactAnnotations folds all pending annotation deltas of document name
 // into fresh base indexes, identical to a full rebuild over the current
-// snapshot. Compaction does not bump the index generation: strategy memos
-// and cached plans stay warm.
+// snapshot. Cached plans stay valid: the next execution prices each StandOff
+// step against the compacted index, whose statistics equal the folded one's.
 func (e *Engine) CompactAnnotations(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

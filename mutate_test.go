@@ -13,7 +13,7 @@ import (
 // Engine-level tests of the annotation write path: InsertAnnotation /
 // DeleteAnnotation / CompactAnnotations land delta layers on the cached
 // region indexes instead of rebuilding them, and every read path — Exec,
-// Stream, the plan cache, the strategy memo — must serve the post-write
+// Stream, the plan cache, the strategy choice — must serve the post-write
 // state while in-flight cursors keep their pre-write snapshot.
 
 const mutateDoc = `<doc>
@@ -316,10 +316,9 @@ func TestMutationKeepsPlanCacheFresh(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesStrategyMemo is the strategy-memo layer: the memo
-// keys on the index generation, a mutation bumps it, so the next auto run
-// re-prices against the delta-aware statistics instead of serving the
-// pre-write estimate.
+// TestMutationInvalidatesStrategyMemo pins that a write reaches the cost
+// model: the next auto run prices the step against the post-write index
+// statistics, so EXPLAIN never shows the pre-write estimate.
 func TestMutationInvalidatesStrategyMemo(t *testing.T) {
 	eng := mutateEngine(t)
 	prep, err := eng.Prepare(`doc("m.xml")//scene/select-narrow::hit`)

@@ -57,7 +57,6 @@ import (
 	"soxq/internal/xmark"
 	"soxq/internal/xmlparse"
 	"soxq/internal/xqeval"
-	"soxq/internal/xqexec"
 	"soxq/internal/xqparse"
 	"soxq/internal/xqplan"
 )
@@ -425,16 +424,7 @@ func compileTimed(q string, opts core.Options) (plan *xqplan.Plan, parseNs, comp
 // over the shared immutable plan.
 func (p *Prepared) Exec(cfg Config) (*Result, error) {
 	ro := p.beginRun(cfg, "exec")
-	cur, err := p.pipeline(cfg, 0, ro.st)
-	if err != nil {
-		return nil, err
-	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{items: items}, nil
+	return p.drain(ro, "", cfg, 0, ro.st)
 }
 
 // Analyze executes the compiled query like Exec while collecting the
@@ -449,30 +439,19 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // so the chunk counters reflect streamed execution.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	st := xqplan.NewExecStats()
-	ro := p.beginAnalyze(cfg, st)
-	cur, err := p.pipeline(cfg, max(cfg.StreamChunk, 0), st)
+	res, err := p.drain(p.beginAnalyze(cfg, st), "", cfg, max(cfg.StreamChunk, 0), st)
 	if err != nil {
 		return nil, nil, err
 	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Result{items: items}, p.explainWith(st), nil
+	return res, p.explainWith(st), nil
 }
 
 // evaluator builds the per-run evaluator state for one execution of the
-// plan. Document and index resolution go through a fresh runView, so the run
-// drains one consistent snapshot generation even while mutations land.
-func (p *Prepared) evaluator(cfg Config) *xqeval.Evaluator {
-	return p.evaluatorWith(cfg, &runView{eng: p.eng, opts: p.plan.Options()})
-}
-
-// evaluatorWith is evaluator with the caller supplying the run view — the
-// corpus shard path seeds the view so the corpus URI resolves to one member
-// document (see corpus.go).
-func (p *Prepared) evaluatorWith(cfg Config, rv *runView) *xqeval.Evaluator {
+// plan. Document and index resolution go through the run's own runView
+// (fresh per run; a corpus shard seeds it so the corpus URI resolves to one
+// member document), so the run drains one consistent snapshot generation
+// even while mutations land. st attaches the run's per-operator collector.
+func (p *Prepared) evaluator(cfg Config, rv *runView, st *xqplan.ExecStats) *xqeval.Evaluator {
 	e := p.eng
 	return &xqeval.Evaluator{
 		Plan:     p.plan,
@@ -483,6 +462,7 @@ func (p *Prepared) evaluatorWith(cfg Config, rv *runView) *xqeval.Evaluator {
 		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
 		Pushdown: !cfg.NoPushdown,
 		Met:      e.met(),
+		Stats:    st,
 	}
 }
 

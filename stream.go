@@ -3,6 +3,7 @@ package soxq
 import (
 	"io"
 
+	"soxq/internal/tree"
 	"soxq/internal/xqexec"
 	"soxq/internal/xqplan"
 )
@@ -95,16 +96,7 @@ const writeXMLChunk = 4096
 // number of goroutines: each call builds an independent pipeline over the
 // shared immutable plan.
 func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
-	chunk := cfg.StreamChunk
-	if chunk <= 0 {
-		chunk = xqexec.DefaultChunkSize
-	}
-	ro := p.beginRun(cfg, "stream")
-	cur, err := p.pipeline(cfg, chunk, ro.st)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{cur: cur, ro: ro}, nil
+	return p.stream("", cfg)
 }
 
 // StreamQuery is Stream through the plan cache: the query text is compiled
@@ -119,15 +111,75 @@ func (e *Engine) StreamQuery(q string, cfg Config) (*Cursor, error) {
 	return p.Stream(cfg)
 }
 
-// pipeline builds the cursor pipeline Exec and Stream share; chunk <= 0
-// means unbounded chunks (materialise per operator), which is what a full
-// drain wants. st attaches the per-operator collector of a traced run (nil
-// otherwise).
-func (p *Prepared) pipeline(cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
-	ev := p.evaluator(cfg)
-	ev.Stats = st
-	return xqexec.Build(ev, xqexec.Config{
-		ChunkSize:   chunk,
-		Parallelism: cfg.Parallelism,
-	})
+// open builds the cursor pipeline of one run; every execution entry point
+// goes through it. chunk <= 0 means unbounded chunks (materialise per
+// operator), which is what a full drain wants. st attaches the per-operator
+// collector of a traced or analysed run (nil otherwise).
+//
+// corpus "" runs the plan over the engine's documents (no corpus can carry
+// the empty name). Otherwise the run fans out over the corpus members: one
+// lazily built shard pipeline per member, drained through the
+// cross-document merge. cfg.Parallelism then governs the shard pool (one
+// worker drains one shard's pipeline at a time); shard-internal FLWOR
+// partitioning stays off under the pool so a run's goroutine count is
+// bounded by the shard workers, while a sequential run (Parallelism <= 1)
+// keeps the single-document behaviour and hands cfg.Parallelism to each
+// shard pipeline instead.
+func (p *Prepared) open(corpus string, cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
+	if corpus == "" {
+		ev := p.evaluator(cfg, &runView{eng: p.eng, opts: p.plan.Options()}, st)
+		return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk, Parallelism: cfg.Parallelism})
+	}
+	shards, _, err := p.eng.corpusShards(corpus)
+	if err != nil {
+		return nil, err
+	}
+	p.eng.tel.corpusRun(len(shards))
+	shardWorkers := cfg.Parallelism
+	innerParallel := 0
+	if shardWorkers <= 1 {
+		innerParallel = cfg.Parallelism
+	}
+	sources := make([]xqexec.ShardSource, len(shards))
+	for i, sh := range shards {
+		sources[i] = func() (xqexec.Cursor, error) {
+			// The run view is pre-seeded so both the corpus URI and the
+			// member's own name resolve to the pinned member snapshot; any
+			// other document reference falls through to the engine.
+			rv := &runView{eng: p.eng, opts: p.plan.Options(),
+				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}}
+			return xqexec.Build(p.evaluator(cfg, rv, st), xqexec.Config{ChunkSize: chunk, Parallelism: innerParallel})
+		}
+	}
+	return xqexec.MergeShards(sources, shardWorkers, chunk, p.eng.met()), nil
+}
+
+// drain is one materialising run (Exec, ExecCorpus, Analyze): the run's
+// pipeline drained into a Result, with ro closed out at drain end.
+func (p *Prepared) drain(ro runObs, corpus string, cfg Config, chunk int, st *xqplan.ExecStats) (*Result, error) {
+	cur, err := p.open(corpus, cfg, chunk, st)
+	if err != nil {
+		return nil, err
+	}
+	items, err := xqexec.DrainAll(cur)
+	ro.finish()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{items: items}, nil
+}
+
+// stream is one cursor run (Stream, StreamCorpus), chunked by
+// cfg.StreamChunk (xqexec.DefaultChunkSize when unset).
+func (p *Prepared) stream(corpus string, cfg Config) (*Cursor, error) {
+	chunk := cfg.StreamChunk
+	if chunk <= 0 {
+		chunk = xqexec.DefaultChunkSize
+	}
+	ro := p.beginRun(cfg, "stream")
+	cur, err := p.open(corpus, cfg, chunk, ro.st)
+	if err != nil {
+		return nil, err
+	}
+	return &Cursor{cur: cur, ro: ro}, nil
 }
